@@ -9,6 +9,8 @@
 //   2. 2-D vs row-only tiling: on a wide board with a narrow active
 //      column band, row tiles can never sleep (every row intersects the
 //      band) while 2-D tiles skip the quiet columns.
+//   3. the heat kernel alone: ns/cell on normal vs subnormal floats, the
+//      penalty a cooling field's cold front pays in every cell.
 //
 // The model-counts study emits *exact* deterministic numbers (halo wire
 // words, tiles computed/skipped, heat convergence steps) — the same rows
@@ -20,8 +22,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <iostream>
+#include <random>
 #include <string>
 #include <utility>
 
@@ -33,6 +37,7 @@
 #include "pdc/perf/table.hpp"
 #include "pdc/perf/timer.hpp"
 #include "pdc/stencil/heat.hpp"
+#include "pdc/stencil/tile.hpp"
 
 namespace {
 
@@ -234,6 +239,59 @@ void print_heat_engines(pdc::benchutil::Options& bopt) {
   bopt.add_json_table("heat engines", t);
 }
 
+/// The heat kernel alone: repeated HeatWorkload::step_tile sweeps over
+/// 32x64 tiles, double-buffered like the engine, on a field of normal
+/// floats and on one of subnormal floats. A sweep keeps every cell inside
+/// its field's value range, so neither field changes kind. The gap is the
+/// subnormal-operand penalty; the kernel's four lanes share each assist.
+void print_heat_kernel(pdc::benchutil::Options& bopt) {
+  const std::size_t rows = 256, cols = 1024;
+  const int sweeps = bopt.smoke ? 10 : 100;
+  const ps::TileMap tiles(rows, cols, 32, 64);
+  const ps::HeatWorkload w{0.25};
+  const double cells = static_cast<double>(rows * cols) * sweeps;
+
+  pdc::perf::Table t({"field", "values", "ns/cell", "vs normal"});
+  double normal_ns = 0.0;
+  const auto add = [&](const char* name, const char* range, float lo,
+                       float hi) {
+    ps::HeatField a(rows, cols);
+    a.set_boundary(lo, hi, lo, hi);
+    std::mt19937 rng(11);
+    std::uniform_real_distribution<float> value(lo, hi);
+    for (std::size_t r = 0; r < rows; ++r)
+      for (std::size_t c = 0; c < cols; ++c)
+        a.at(static_cast<std::ptrdiff_t>(r), static_cast<std::ptrdiff_t>(c)) =
+            value(rng);
+    ps::HeatField b = a;
+    double delta = 0.0;
+    const double s = pdc::perf::time_best_of(3, [&] {
+      for (int i = 0; i < sweeps; ++i) {
+        const ps::HeatField& src = i % 2 == 0 ? a : b;
+        ps::HeatField& dst = i % 2 == 0 ? b : a;
+        for (std::size_t tile = 0; tile < tiles.count(); ++tile)
+          delta = std::max(delta, w.step_tile(src, dst, tiles.bounds(tile)));
+      }
+    });
+    benchmark::DoNotOptimize(delta);
+    benchmark::DoNotOptimize(a);
+    const double ns = s * 1e9 / cells;
+    if (normal_ns == 0.0) normal_ns = ns;
+    t.add_row({name, range, pdc::perf::fmt(ns, 2),
+               pdc::perf::fmt(ns / normal_ns, 2)});
+  };
+  add("normal", "0.5 .. 1", 0.5f, 1.0f);
+  add("subnormal", "1e-40 .. 1e-39", 1e-40f, 1e-39f);
+
+  std::cout << "== stencil: heat kernel on normal vs subnormal floats ("
+            << rows << "x" << cols << ", 32x64 tiles, " << sweeps
+            << " sweeps, best of 3) ==\n"
+            << t.str()
+            << "(a cooling field's cold front is subnormal; the four-lane "
+               "kernel shares each assist across four cells)\n\n";
+  bopt.add_json_table("heat kernel", t);
+}
+
 /// Exact, deterministic model counts — identical under --smoke and full
 /// runs, diffed by CI against bench/expectations/BENCH_stencil.json.
 void print_model_counts(pdc::benchutil::Options& bopt) {
@@ -349,6 +407,7 @@ int main(int argc, char** argv) {
   print_tiling_shape_study(opt);
   print_hybrid_ladder(opt);
   print_heat_engines(opt);
+  print_heat_kernel(opt);
   print_model_counts(opt);
   return pdc::benchutil::finish(opt, argc, argv);
 }

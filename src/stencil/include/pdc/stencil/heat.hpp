@@ -26,6 +26,8 @@ namespace pdc::stencil {
 /// rows for strip (message-passing) execution.
 class HeatField {
  public:
+  /// Throws std::invalid_argument on a zero dimension or a non-finite
+  /// `initial`.
   HeatField(std::size_t rows, std::size_t cols, float initial = 0.0f);
 
   [[nodiscard]] std::size_t rows() const { return rows_; }
@@ -45,7 +47,8 @@ class HeatField {
   /// Fill the whole halo ring (corners included) with fixed boundary
   /// temperatures. Call on *both* double buffers: the ring is read every
   /// step but written only here (full-domain runs) or by halo unpacking
-  /// (strip runs, top/bottom rows only).
+  /// (strip runs, top/bottom rows only). Throws std::invalid_argument,
+  /// writing nothing, if a temperature is not finite.
   void set_boundary(float top, float bottom, float left, float right);
 
   [[nodiscard]] double max_abs_diff(const HeatField& other) const;
@@ -68,8 +71,8 @@ struct HeatOptions {
   bool skip_quiescent = true;
 };
 
-/// Stencil workload adapter: plugs HeatField into run_seq / run_threaded /
-/// run_mp. Units are cells; boundaries are Dirichlet (no wrap).
+/// Stencil workload adapter: plugs HeatField into stencil::run on every
+/// ExecPlan shape. Units are cells; boundaries are Dirichlet (no wrap).
 struct HeatWorkload {
   double conductivity = 0.2;
 
@@ -79,6 +82,9 @@ struct HeatWorkload {
   [[nodiscard]] bool wrap_rows(const Field&) const { return false; }
   [[nodiscard]] bool wrap_cols(const Field&) const { return false; }
   void init(Field&) const {}
+  /// One Jacobi sweep of b's cells from src into dst; returns the max
+  /// |next - cur|. Computes four columns at a time, bit-identical to the
+  /// per-cell formula above.
   double step_tile(const Field& src, Field& dst, const TileBounds& b) const;
   void finish_step(Field&, const TileMap&,
                    const std::vector<std::uint8_t>&) const {}

@@ -10,11 +10,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "pdc/life/engine.hpp"
@@ -263,6 +269,120 @@ TEST(Heat, SequentialConvergesAndHeatFlowsDownward) {
   EXPECT_GT(f.at(0, 16), f.at(8, 16));
   EXPECT_GT(f.at(8, 16), f.at(31, 16));
   EXPECT_GT(f.at(31, 16), 0.0f);  // warmth reached the far edge
+}
+
+// ---------------------------------------------------------- heat kernel ---
+
+namespace {
+
+/// The heat.hpp formula one cell at a time, in the scalar operation order
+/// next = cur + k * (0.25 * (((up + down) + left) + right) - cur): the
+/// reference HeatWorkload::step_tile must reproduce bit for bit.
+double reference_step_tile(const ps::HeatField& src, ps::HeatField& dst,
+                           const ps::TileBounds& b, double conductivity) {
+  const float k = static_cast<float>(conductivity);
+  float max_d = 0.0f;
+  for (std::size_t r = b.r0; r < b.r1; ++r)
+    for (std::size_t c = b.c0; c < b.c1; ++c) {
+      const auto ri = static_cast<std::ptrdiff_t>(r);
+      const auto ci = static_cast<std::ptrdiff_t>(c);
+      const float cur = src.at(ri, ci);
+      const float up = src.at(ri - 1, ci), down = src.at(ri + 1, ci);
+      const float left = src.at(ri, ci - 1), right = src.at(ri, ci + 1);
+      const float avg = 0.25f * (((up + down) + left) + right);
+      const float next = cur + k * (avg - cur);
+      dst.at(ri, ci) = next;
+      max_d = std::max(max_d, std::fabs(next - cur));
+    }
+  return static_cast<double>(max_d);
+}
+
+/// Normal values of both signs, subnormals, signed zeros and the smallest
+/// normals, under a non-zero Dirichlet ring.
+ps::HeatField mixed_field(std::size_t rows, std::size_t cols) {
+  const float kinds[] = {0.75f,   -0.3f,   1e-39f,  -2e-41f, 0.0f, -0.0f,
+                         1.2e-38f, 1e-45f, 0.0625f, 3.0f};
+  ps::HeatField f(rows, cols);
+  f.set_boundary(1.0f, 0.5f, -0.25f, 2e-39f);
+  std::uint64_t x = 0x9e3779b97f4a7c15ull;
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t c = 0; c < cols; ++c) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      f.at(static_cast<std::ptrdiff_t>(r), static_cast<std::ptrdiff_t>(c)) =
+          kinds[x % std::size(kinds)];
+    }
+  return f;
+}
+
+bool same_bytes(const ps::HeatField& a, const ps::HeatField& b) {
+  const std::size_t n = (a.rows() + 2) * (a.cols() + 2);
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(&a.at(-1, -1), &b.at(-1, -1), n * sizeof(float)) == 0;
+}
+
+std::size_t subnormal_cells(const ps::HeatField& f) {
+  std::size_t n = 0;
+  for (std::size_t r = 0; r < f.rows(); ++r)
+    for (std::size_t c = 0; c < f.cols(); ++c)
+      n += std::fpclassify(f.at(static_cast<std::ptrdiff_t>(r),
+                                static_cast<std::ptrdiff_t>(c))) ==
+           FP_SUBNORMAL;
+  return n;
+}
+
+}  // namespace
+
+// Every width % 4 tail, tiles off the left edge, tiles ending at cols, on
+// a field mixing normals, subnormals and zeros; then a multi-step run
+// whose cold front relaxes into subnormals. Destination buffers (the ring
+// and cells outside the tile included) are compared byte for byte.
+TEST(HeatKernel, StepTileMatchesPerCellFormulaBitForBit) {
+  constexpr std::size_t kRows = 11, kCols = 80;
+  const ps::HeatField src = mixed_field(kRows, kCols);
+  for (const double k : {0.25, 0.2}) {
+    const ps::HeatWorkload w{k};
+    std::vector<std::size_t> widths;
+    for (std::size_t wd = 1; wd <= 9; ++wd) widths.push_back(wd);
+    for (std::size_t wd = 61; wd <= 67; ++wd) widths.push_back(wd);
+    for (const std::size_t wd : widths)
+      for (const std::size_t c0 : {std::size_t{0}, std::size_t{3},
+                                   kCols - wd})
+        for (const std::size_t r0 : {std::size_t{0}, std::size_t{4}}) {
+          const std::size_t r1 = r0 == 0 ? kRows : 7;
+          const ps::TileBounds b{r0, r1, c0, c0 + wd};
+          ps::HeatField want = mixed_field(kRows, kCols);
+          ps::HeatField got = want;
+          const double want_d = reference_step_tile(src, want, b, k);
+          const double got_d = w.step_tile(src, got, b);
+          const std::string at = "k=" + std::to_string(k) +
+                                 " rows [" + std::to_string(r0) + "," +
+                                 std::to_string(r1) + ") cols [" +
+                                 std::to_string(c0) + "," +
+                                 std::to_string(c0 + wd) + ")";
+          EXPECT_TRUE(same_bytes(got, want)) << at;
+          EXPECT_EQ(got_d, want_d) << at;
+        }
+  }
+
+  // Many steps from a hot top edge: the cold front fills with subnormals.
+  constexpr std::size_t kTall = 96, kWide = 70;  // 70 % 4 == 2
+  const ps::HeatWorkload w{0.25};
+  const ps::TileBounds all{0, kTall, 0, kWide};
+  ps::HeatField want_cur = hot_top(kTall, kWide), want_nxt = want_cur;
+  ps::HeatField got_cur = want_cur, got_nxt = want_cur;
+  std::size_t max_subnormal = 0;
+  for (int step = 0; step < 150; ++step) {
+    const double want_d = reference_step_tile(want_cur, want_nxt, all, 0.25);
+    const double got_d = w.step_tile(got_cur, got_nxt, all);
+    ASSERT_TRUE(same_bytes(got_nxt, want_nxt)) << "step " << step;
+    ASSERT_EQ(got_d, want_d) << "step " << step;
+    std::swap(want_cur, want_nxt);
+    std::swap(got_cur, got_nxt);
+    max_subnormal = std::max(max_subnormal, subnormal_cells(got_cur));
+  }
+  EXPECT_GT(max_subnormal, 0u);
 }
 
 class HeatEngineIdentity : public ::testing::TestWithParam<double> {};
@@ -622,6 +742,19 @@ TEST(MpThreading, FunneledModeRejectsCommFromForeignThreads) {
 
 TEST(Heat, ValidatesArguments) {
   EXPECT_THROW(ps::HeatField(0, 4), std::invalid_argument);
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_THROW(ps::HeatField(4, 4, kInf), std::invalid_argument);
+  EXPECT_THROW(ps::HeatField(4, 4, -kInf), std::invalid_argument);
+  EXPECT_THROW(ps::HeatField(4, 4, kNaN), std::invalid_argument);
+  // A non-finite boundary would relax to a false "converged": NaN deltas
+  // lose every max and mark their tiles quiescent.
+  ps::HeatField g(16, 16);
+  EXPECT_THROW(g.set_boundary(kInf, 0, 0, 0), std::invalid_argument);
+  EXPECT_THROW(g.set_boundary(0, -kInf, 0, 0), std::invalid_argument);
+  EXPECT_THROW(g.set_boundary(0, 0, kNaN, 0), std::invalid_argument);
+  EXPECT_THROW(g.set_boundary(0, 0, 0, kNaN), std::invalid_argument);
+  EXPECT_TRUE(g == ps::HeatField(16, 16));  // rejected before any write
   ps::HeatField f = hot_top(8, 8);
   ps::HeatOptions opt;
   EXPECT_THROW(ps::heat_relax_threaded(f, opt, 0), std::invalid_argument);
