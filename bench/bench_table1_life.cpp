@@ -95,7 +95,7 @@ void print_scalability_study(pdc::benchutil::Options& bopt) {
   for (int ranks : {1, 2, 4, 8}) {
     pdc::life::Grid board = tstart;
     std::uint64_t msgs = 0, words = 0;
-    pdc::life::run_message_passing(board, tgens, ranks, &msgs, &words);
+    pdc::life::run_message_passing(board, tgens, ranks, {}, &msgs, &words);
     traffic.add_row(
         {std::to_string(ranks), std::to_string(msgs), std::to_string(words),
          std::to_string(words / static_cast<std::uint64_t>(tgens))});

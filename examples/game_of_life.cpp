@@ -3,7 +3,8 @@
 //   build/examples/game_of_life [rows cols generations max_threads]
 //
 // Runs a glider demo (printed), checks that all three engines agree, and
-// performs the lab's scalability study on the threaded engine.
+// performs the lab's scalability study on the threaded engine. Exits 1 if
+// the engines disagree.
 
 #include <cstdlib>
 #include <iostream>
@@ -32,11 +33,11 @@ int main(int argc, char** argv) {
   pdc::life::run_sequential(seq, gens);
   pdc::life::run_threaded(thr, gens, max_threads);
   std::uint64_t messages = 0, words = 0;
-  pdc::life::run_message_passing(msg, gens, std::min(max_threads, 4),
+  pdc::life::run_message_passing(msg, gens, std::min(max_threads, 4), {},
                                  &messages, &words);
-  std::cout << "engines agree: " << std::boolalpha
-            << (seq == thr && thr == msg) << " (population "
-            << seq.population() << ")\n";
+  const bool agree = seq == thr && thr == msg;
+  std::cout << "engines agree: " << std::boolalpha << agree
+            << " (population " << seq.population() << ")\n";
   std::cout << "message-passing traffic: " << messages << " messages, "
             << words << " cell-words\n\n";
 
@@ -52,5 +53,5 @@ int main(int argc, char** argv) {
   std::cout << "threaded Game of Life, " << rows << "x" << cols << ", "
             << gens << " generations:\n"
             << study.to_table();
-  return 0;
+  return agree ? 0 : 1;
 }

@@ -1,9 +1,8 @@
 #include "pdc/life/engine.hpp"
 
-#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
 #include "pdc/life/packed_grid.hpp"
 #include "pdc/life/stencil_workload.hpp"
@@ -40,96 +39,45 @@ void check_args(int generations) {
   if (generations < 0) throw std::invalid_argument("generations must be >= 0");
 }
 
-/// plan.ranks strip ranks over an in-process communicator, each strip
-/// advanced by plan.threads_per_rank threads (see run_plan). Used for
-/// every multi-rank shape — and by run_message_passing even for one
-/// rank, where the torus self-links still exchange real messages.
-stencil::RunResult run_strips(Grid& board, int generations,
-                              const stencil::ExecPlan& plan,
-                              const EngineOptions& opt,
-                              std::uint64_t* messages_out,
-                              std::uint64_t* payload_words_out) {
-  const int ranks = plan.ranks;
-  if (static_cast<std::size_t>(ranks) > board.rows())
-    throw std::invalid_argument("more ranks than rows");
-  if (plan.transport != mp::TransportKind::kInproc)
-    throw std::invalid_argument(
-        "run_plan runs its ranks in-process (inproc transport); launch "
-        "shm/tcp worlds with mp::launch::run_spmd");
-  if (generations == 0) return {};
-
-  const std::size_t rows = board.rows();
+/// plan.ranks strip ranks in one in-process world (stencil::run_world),
+/// each strip advanced by plan.threads_per_rank threads. Used for every
+/// multi-rank shape — and by run_message_passing even for one rank, where
+/// the torus self-links still exchange real messages.
+stencil::RunResult run_ranks(Grid& board, int generations,
+                             const stencil::ExecPlan& plan,
+                             const EngineOptions& opt,
+                             std::uint64_t* messages_out,
+                             std::uint64_t* payload_words_out) {
   const std::size_t cols = board.cols();
-  const bool torus = board.boundary() == Boundary::kTorus;
-
-  // Partition rows on tile boundaries so every rank's tile grid is the
-  // global grid restricted to its strip — the received activity flags
-  // then dilate exactly like the shared-memory engines' row wrap, and
-  // skip decisions (hence results, trivially, with the exact predicate)
-  // match tile for tile. Shrink the tile height if needed so every rank
-  // owns at least one tile row.
-  const std::size_t tile_h = std::max<std::size_t>(
-      1,
-      std::min(opt.tile_rows, rows / static_cast<std::size_t>(ranks)));
-  const std::size_t n_tiles = (rows + tile_h - 1) / tile_h;
-  EngineOptions strip_opt = opt;
-  strip_opt.tile_rows = tile_h;
-
-  std::vector<stencil::RunResult> results(static_cast<std::size_t>(ranks));
-  mp::Communicator comm(ranks);
-  comm.run([&](mp::RankContext& ctx) {
-    const int p = ctx.size();
-    const int r = ctx.rank();
-    const auto ur = static_cast<std::size_t>(r);
-    const auto up = static_cast<std::size_t>(p);
-    // Block partition of tile rows.
-    const std::size_t tlo = ur * (n_tiles / up) + std::min(ur, n_tiles % up);
-    const std::size_t thi =
-        tlo + n_tiles / up + (ur < n_tiles % up ? 1 : 0);
-    const std::size_t lo = tlo * tile_h;
-    const std::size_t n = std::min(rows, thi * tile_h) - lo;
-
-    // Local packed strip; the row halos are filled from received messages
-    // (never by sync_halo_rows), the column wrap stays a local concern.
-    PackedGrid cur(n, cols, board.boundary());
-    PackedGrid nxt(n, cols, board.boundary());
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint8_t* src = board.row_data(lo + i);
-      std::uint64_t* dst = cur.row_words(i);
-      for (std::size_t c = 0; c < cols; ++c)
-        dst[c / 64] |= static_cast<std::uint64_t>(src[c] & 1) << (c % 64);
-    }
-
-    const stencil::MpLinks links{
-        r == 0 ? (torus ? p - 1 : -1) : r - 1,
-        r == p - 1 ? (torus ? 0 : -1) : r + 1};
-    LifeWorkload w{.external_halo = true};
-    results[ur] = stencil::run(w, cur, nxt, plan,
-                               engine_opts(strip_opt, generations), ctx,
-                               links);
-
-    // Everyone finishes computing before anyone writes the shared board.
-    ctx.barrier();
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t* src = cur.row_words(i);
-      std::uint8_t* dst = board.row_data(lo + i);
-      for (std::size_t c = 0; c < cols; ++c)
-        dst[c] = static_cast<std::uint8_t>((src[c / 64] >> (c % 64)) & 1);
-    }
-  });
-
-  const auto traffic = comm.traffic();
+  mp::TrafficStats traffic;
+  const stencil::RunResult res = stencil::run_world(
+      LifeWorkload{.external_halo = true}, board.rows(),
+      board.boundary() == Boundary::kTorus, plan,
+      engine_opts(opt, generations),
+      [&](std::size_t r0, std::size_t r1) {
+        // The row halos are filled from received messages (never by
+        // sync_halo_rows); the column wrap stays a local concern.
+        PackedGrid strip(r1 - r0, cols, board.boundary());
+        for (std::size_t i = 0; i < r1 - r0; ++i) {
+          const std::uint8_t* src = board.row_data(r0 + i);
+          std::uint64_t* dst = strip.row_words(i);
+          for (std::size_t c = 0; c < cols; ++c)
+            dst[c / 64] |= static_cast<std::uint64_t>(src[c] & 1) << (c % 64);
+        }
+        return strip;
+      },
+      [&](const PackedGrid& strip, std::size_t r0) {
+        for (std::size_t i = 0; i < strip.rows(); ++i) {
+          const std::uint64_t* src = strip.row_words(i);
+          std::uint8_t* dst = board.row_data(r0 + i);
+          for (std::size_t c = 0; c < cols; ++c)
+            dst[c] = static_cast<std::uint8_t>((src[c / 64] >> (c % 64)) & 1);
+        }
+      },
+      &traffic);
   if (messages_out != nullptr) *messages_out = traffic.messages;
   if (payload_words_out != nullptr) *payload_words_out = traffic.payload_words;
-
-  stencil::RunResult total = results[0];
-  for (int i = 1; i < ranks; ++i) {
-    const auto& res = results[static_cast<std::size_t>(i)];
-    total.tiles_computed += res.tiles_computed;
-    total.tiles_skipped += res.tiles_skipped;
-    total.halo_words += res.halo_words;
-  }
-  return total;
+  return res;
 }
 
 }  // namespace
@@ -146,34 +94,13 @@ void run_reference(Grid& board, int generations) {
 
 stencil::RunResult run_sequential(Grid& board, int generations,
                                   const EngineOptions& opt) {
-  check_args(generations);
-  PackedGrid cur(board);
-  PackedGrid nxt(board.rows(), board.cols(), board.boundary());
-  LifeWorkload w;
-  const stencil::RunResult res =
-      stencil::run_seq(w, cur, nxt, engine_opts(opt, generations));
-  board = cur.unpack();
-  return res;
-}
-
-void run_sequential(Grid& board, int generations) {
-  run_sequential(board, generations, EngineOptions{});
+  return run_plan(board, generations, stencil::ExecPlan{}, opt);
 }
 
 stencil::RunResult run_threaded(Grid& board, int generations, int threads,
                                 const EngineOptions& opt) {
-  check_args(generations);
-  PackedGrid cur(board);
-  PackedGrid nxt(board.rows(), board.cols(), board.boundary());
-  LifeWorkload w;
-  const stencil::RunResult res = stencil::run_threaded(
-      w, cur, nxt, engine_opts(opt, generations), threads);
-  board = cur.unpack();
-  return res;
-}
-
-void run_threaded(Grid& board, int generations, int threads) {
-  run_threaded(board, generations, threads, EngineOptions{});
+  return run_plan(board, generations,
+                  stencil::ExecPlan{.threads_per_rank = threads}, opt);
 }
 
 stencil::RunResult run_message_passing(Grid& board, int generations,
@@ -181,17 +108,8 @@ stencil::RunResult run_message_passing(Grid& board, int generations,
                                        std::uint64_t* messages_out,
                                        std::uint64_t* payload_words_out) {
   check_args(generations);
-  stencil::ExecPlan plan{.ranks = ranks};
-  stencil::detail::validate(plan);
-  return run_strips(board, generations, plan, opt, messages_out,
-                    payload_words_out);
-}
-
-void run_message_passing(Grid& board, int generations, int ranks,
-                         std::uint64_t* messages_out,
-                         std::uint64_t* payload_words_out) {
-  run_message_passing(board, generations, ranks, EngineOptions{},
-                      messages_out, payload_words_out);
+  return run_ranks(board, generations, stencil::ExecPlan{.ranks = ranks},
+                   opt, messages_out, payload_words_out);
 }
 
 stencil::RunResult run_plan(Grid& board, int generations,
@@ -200,10 +118,9 @@ stencil::RunResult run_plan(Grid& board, int generations,
                             std::uint64_t* messages_out,
                             std::uint64_t* payload_words_out) {
   check_args(generations);
-  stencil::detail::validate(plan);
-  if (plan.ranks > 1)
-    return run_strips(board, generations, plan, opt, messages_out,
-                      payload_words_out);
+  if (plan.ranks != 1)
+    return run_ranks(board, generations, plan, opt, messages_out,
+                     payload_words_out);
   // One rank: the local engine, no communicator (and no traffic).
   if (messages_out != nullptr) *messages_out = 0;
   if (payload_words_out != nullptr) *payload_words_out = 0;

@@ -41,40 +41,38 @@ void run_reference(Grid& board, int generations);
 /// Advance `board` by `generations` steps, single threaded, on the
 /// bit-packed SWAR kernel (see pdc/life/packed_grid.hpp): 64 cells per
 /// word, neighbor counts via bitwise carry-save adders, no per-cell work.
-/// The RunResult-returning overload exposes the stencil engine's skip
-/// accounting (tiles computed/skipped per run).
-void run_sequential(Grid& board, int generations);
+/// Plan {1,1}; the result carries the stencil engine's skip accounting
+/// (tiles computed/skipped per run).
 stencil::RunResult run_sequential(Grid& board, int generations,
-                                  const EngineOptions& opt);
+                                  const EngineOptions& opt = {});
 
-/// Advance `board` using `threads` workers. Each generation's *active*
-/// tiles are block-partitioned across the team; a barrier separates
-/// generations (double buffering, no locks needed).
-void run_threaded(Grid& board, int generations, int threads);
+/// Advance `board` using `threads` workers (plan {1,threads}). Each
+/// generation's *active* tiles are shared across the team; a barrier
+/// separates generations (double buffering, no locks needed).
 stencil::RunResult run_threaded(Grid& board, int generations, int threads,
-                                const EngineOptions& opt);
+                                const EngineOptions& opt = {});
 
-/// Advance `board` on `ranks` message-passing processes: each rank owns a
+/// Advance `board` on `ranks` message-passing processes (plan {ranks,1},
+/// always in a world of its own, even for one rank): each rank owns a
 /// block of tile rows and exchanges one message per neighbor per
 /// generation — per-tile activity flags plus the packed halo row, one
-/// payload word per 64 cells instead of one per cell. `traffic_out`, if
-/// non-null, receives the total messages and payload words exchanged.
-void run_message_passing(Grid& board, int generations, int ranks,
-                         std::uint64_t* messages_out = nullptr,
-                         std::uint64_t* payload_words_out = nullptr);
+/// payload word per 64 cells instead of one per cell. `messages_out` and
+/// `payload_words_out`, if non-null, receive the world's total messages
+/// and payload words.
 stencil::RunResult run_message_passing(Grid& board, int generations,
-                                       int ranks, const EngineOptions& opt,
+                                       int ranks,
+                                       const EngineOptions& opt = {},
                                        std::uint64_t* messages_out = nullptr,
                                        std::uint64_t* payload_words_out =
                                            nullptr);
 
 /// Advance `board` on an arbitrary stencil::ExecPlan — the hybrid
-/// entry point. plan.ranks row strips (each an in-process
-/// message-passing rank; the driver requires
-/// mp::TransportKind::kInproc — launch shm/tcp worlds through
-/// mp::launch::run_spmd instead) with plan.threads_per_rank threads
-/// advancing each strip's tiles, halo exchange scheduled per
-/// plan.schedule. {1,1} is run_sequential, {1,T} run_threaded, {R,1}
+/// entry point. One rank runs the local engine (no world, no traffic);
+/// more run plan.ranks row strips as one in-process world
+/// (stencil::run_world), with plan.threads_per_rank threads advancing
+/// each strip's tiles and the halo exchange scheduled per plan.schedule.
+/// shm/tcp worlds are launched through mp::launch::run_spmd instead.
+/// {1,1} is run_sequential, {1,T} run_threaded, {R,1}
 /// run_message_passing; every shape is bit-identical to the reference.
 stencil::RunResult run_plan(Grid& board, int generations,
                             const stencil::ExecPlan& plan,

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
-#include <utility>
 
 namespace pdc::stencil {
 
@@ -42,74 +41,31 @@ Options engine_opts(const HeatOptions& o) {
   return e;
 }
 
-/// One rank per strip, partitioned on tile-row boundaries (see
-/// heat_relax_plan); each strip relaxed by plan.threads_per_rank threads.
-RunResult relax_strips(HeatField& field, const HeatOptions& opt,
-                       const ExecPlan& plan) {
-  const int ranks = plan.ranks;
-  const std::size_t rows = field.rows();
-  if (static_cast<std::size_t>(ranks) > rows)
-    throw std::invalid_argument("more ranks than rows");
-  if (plan.transport != mp::TransportKind::kInproc)
-    throw std::invalid_argument(
-        "heat_relax_plan runs its ranks in-process (inproc transport); "
-        "launch shm/tcp worlds with mp::launch::run_spmd and call "
-        "heat_relax_strip inside each body");
-
-  // Partition on tile-row boundaries so every strip's tile grid is the
-  // global grid restricted to its rows: distributed skip decisions then
-  // match the shared-memory engines tile for tile. Shrink the tile
-  // height if needed so every rank owns at least one tile row.
-  const std::size_t tile_h = std::max<std::size_t>(
-      1, std::min(opt.tile_rows, rows / static_cast<std::size_t>(ranks)));
-  const std::size_t n_tiles = (rows + tile_h - 1) / tile_h;
-  const auto tile_range = [&](int r) {
-    const auto n = n_tiles, p = static_cast<std::size_t>(ranks);
-    const auto rr = static_cast<std::size_t>(r);
-    const std::size_t lo = rr * (n / p) + std::min(rr, n % p);
-    return std::pair{lo, lo + n / p + (rr < n % p ? 1 : 0)};
-  };
-
-  HeatOptions strip_opt = opt;
-  strip_opt.tile_rows = tile_h;
-  std::vector<RunResult> results(static_cast<std::size_t>(ranks));
-  mp::Communicator comm(ranks);
-  comm.run([&](mp::RankContext& ctx) {
-    const int r = ctx.rank();
-    const auto [tlo, thi] = tile_range(r);
-    const std::size_t r0 = tlo * tile_h;
-    const std::size_t r1 = std::min(rows, thi * tile_h);
-    HeatField strip(r1 - r0, field.cols());
-    // Copy the padded strip rows wholesale: the left/right halo columns
-    // are the Dirichlet boundary, the top/bottom halo rows start as the
-    // neighbor's edge rows (or the global boundary at the domain edge)
-    // and are refreshed by the halo exchange every step.
-    for (std::size_t pr = 0; pr < (r1 - r0) + 2; ++pr)
-      std::copy_n(
-          &field.at(static_cast<std::ptrdiff_t>(r0 + pr) - 1, -1),
-          field.cols() + 2,
-          &strip.at(static_cast<std::ptrdiff_t>(pr) - 1, -1));
-
-    MpLinks links{r > 0 ? r - 1 : -1, r + 1 < ranks ? r + 1 : -1};
-    results[static_cast<std::size_t>(r)] =
-        heat_relax_strip(strip, strip_opt, plan, ctx, links);
-
-    ctx.barrier();  // everyone done reading `field` before writeback
-    for (std::size_t pr = 0; pr < r1 - r0; ++pr)
-      std::copy_n(&strip.at(static_cast<std::ptrdiff_t>(pr), 0),
-                  field.cols(),
-                  &field.at(static_cast<std::ptrdiff_t>(r0 + pr), 0));
-  });
-
-  RunResult total = results[0];
-  for (int i = 1; i < ranks; ++i) {
-    const auto& res = results[static_cast<std::size_t>(i)];
-    total.tiles_computed += res.tiles_computed;
-    total.tiles_skipped += res.tiles_skipped;
-    total.halo_words += res.halo_words;
-    total.last_delta = std::max(total.last_delta, res.last_delta);
-  }
-  return total;
+/// heat_relax_plan's world: plan.ranks row strips in process, each
+/// relaxed by plan.threads_per_rank threads.
+RunResult relax_world(HeatField& field, const HeatOptions& opt,
+                      const ExecPlan& plan) {
+  const std::size_t cols = field.cols();
+  return run_world(
+      HeatWorkload{opt.conductivity}, field.rows(), /*wrap=*/false, plan,
+      engine_opts(opt),
+      [&](std::size_t r0, std::size_t r1) {
+        // Copy the padded strip rows wholesale: the left/right halo
+        // columns are the Dirichlet boundary, the top/bottom halo rows
+        // start as the neighbor's edge rows (or the global boundary at
+        // the domain edge) and are refreshed by the halo exchange.
+        HeatField strip(r1 - r0, cols);
+        for (std::size_t pr = 0; pr < (r1 - r0) + 2; ++pr)
+          std::copy_n(&field.at(static_cast<std::ptrdiff_t>(r0 + pr) - 1, -1),
+                      cols + 2,
+                      &strip.at(static_cast<std::ptrdiff_t>(pr) - 1, -1));
+        return strip;
+      },
+      [&](const HeatField& strip, std::size_t r0) {
+        for (std::size_t pr = 0; pr < strip.rows(); ++pr)
+          std::copy_n(&strip.at(static_cast<std::ptrdiff_t>(pr), 0), cols,
+                      &field.at(static_cast<std::ptrdiff_t>(r0 + pr), 0));
+      });
 }
 
 }  // namespace
@@ -209,19 +165,12 @@ void HeatWorkload::unpack_halo(Field& f, bool above,
 }
 
 RunResult heat_relax(HeatField& field, const HeatOptions& opt) {
-  HeatWorkload w{opt.conductivity};
-  HeatField scratch = field;  // clones the boundary ring too
-  return run_seq(w, field, scratch, engine_opts(opt));
+  return heat_relax_plan(field, opt, ExecPlan{});
 }
 
 RunResult heat_relax_threaded(HeatField& field, const HeatOptions& opt,
                               int threads) {
   return heat_relax_plan(field, opt, ExecPlan{.threads_per_rank = threads});
-}
-
-RunResult heat_relax_strip(HeatField& strip, const HeatOptions& opt,
-                           mp::RankContext& ctx, const MpLinks& links) {
-  return heat_relax_strip(strip, opt, ExecPlan{}, ctx, links);
 }
 
 RunResult heat_relax_strip(HeatField& strip, const HeatOptions& opt,
@@ -234,22 +183,19 @@ RunResult heat_relax_strip(HeatField& strip, const HeatOptions& opt,
 
 RunResult heat_relax_plan(HeatField& field, const HeatOptions& opt,
                           const ExecPlan& plan) {
-  detail::validate(plan);
   if (plan.ranks == 1) {
     HeatWorkload w{opt.conductivity};
-    HeatField scratch = field;
+    HeatField scratch = field;  // clones the boundary ring too
     return run(w, field, scratch, plan, engine_opts(opt));
   }
-  return relax_strips(field, opt, plan);
+  return relax_world(field, opt, plan);
 }
 
 RunResult heat_relax_mp(HeatField& field, const HeatOptions& opt,
                         int ranks) {
-  ExecPlan plan{.ranks = ranks};
-  detail::validate(plan);
   // Always through the communicator, even for one rank (a 1-rank strip
   // world is legal and distinct from the local engine: it allreduces).
-  return relax_strips(field, opt, plan);
+  return relax_world(field, opt, ExecPlan{.ranks = ranks});
 }
 
 }  // namespace pdc::stencil

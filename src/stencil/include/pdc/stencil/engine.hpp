@@ -8,8 +8,9 @@
 // inside every rank, tile-stealing over that rank's strip, with the
 // packed halo exchange funneled through the team's rank-0 thread
 // (mp::Threading::kFunneled) and, by default, overlapped with interior
-// tile compute (HaloSchedule::kOverlap). run_seq / run_threaded / run_mp
-// survive as one-line compat wrappers.
+// tile compute (HaloSchedule::kOverlap). Every shape runs the same step
+// loop — a single-threaded plan is a team of one — and run_world launches
+// every in-process multi-rank plan.
 //
 // The engine owns tiling (tile.hpp), double-buffer rotation, per-tile
 // dirty tracking (quiescent tiles are skipped without touching their
@@ -59,7 +60,6 @@
 #include "pdc/core/team.hpp"
 #include "pdc/core/work_steal.hpp"
 #include "pdc/mp/comm.hpp"
-#include "pdc/mp/transport.hpp"
 #include "pdc/obs/obs.hpp"
 #include "pdc/stencil/tile.hpp"
 
@@ -81,14 +81,15 @@ struct Options {
   const char* span_name = "stencil.step";
 };
 
-/// How a multi-threaded rank schedules its halo exchange against tile
-/// compute (ignored when threads_per_rank == 1, where the exchange is
-/// inherently serial).
+/// How a strip rank schedules its halo exchange against tile compute.
+/// It means the same at every thread count: kOverlap receives inside the
+/// step, kSerial in the serial section before it.
 enum class HaloSchedule {
   /// Interior tiles (those not touching a halo row) run on the team
   /// while the funnel thread receives the halo; boundary tiles run once
   /// it lands. The exchange hides behind compute — the point of hybrid
-  /// execution, and what the bench ablation prices.
+  /// execution, and what the bench ablation prices. A rank of one thread
+  /// receives first, then computes.
   kOverlap,
   /// The funnel thread completes the whole exchange before any tile is
   /// computed (the ablation baseline; bit-identical to kOverlap).
@@ -96,18 +97,16 @@ enum class HaloSchedule {
 };
 
 /// The execution shape of a stencil run: how many message-passing ranks,
-/// how many threads inside each rank, and how the hybrid case schedules
-/// and balances. {1,1} = sequential, {1,T} = shared-memory, {R,1} =
-/// message passing, {R,T} = hybrid (a core::Team per rank, comm funneled
-/// through each team's rank-0 thread). Every shape is bit-identical.
+/// how many threads inside each rank, and how each rank schedules and
+/// balances. {1,1} = sequential, {1,T} = shared-memory, {R,1} = message
+/// passing, {R,T} = hybrid (a core::Team per rank, comm funneled through
+/// each team's rank-0 thread). Every shape is bit-identical. run_world
+/// runs multi-rank plans in process; shm/tcp worlds are per-rank
+/// processes launched by mp::launch::run_spmd, each body calling the
+/// strip overload of run().
 struct ExecPlan {
   int ranks = 1;
   int threads_per_rank = 1;
-  /// Transport for plans a *driver* launches (life::run_plan,
-  /// heat_relax_plan). In-process drivers require kInproc; shm/tcp worlds
-  /// are per-rank processes, launched via mp::launch::run_spmd with the
-  /// strip-level run() called inside each body.
-  mp::TransportKind transport = mp::TransportKind::kInproc;
   HaloSchedule schedule = HaloSchedule::kOverlap;
   /// threads_per_rank > 1: drain the active tile list through per-worker
   /// Chase–Lev deques and steal tiles from busy victims when dry
@@ -187,12 +186,11 @@ inline double allreduce_max(mp::RankContext& ctx, double v) {
       ctx.allreduce(std::bit_cast<std::int64_t>(v), mp::ReduceOp::kMax));
 }
 
-/// One rank's halo machinery, shared by the serial ({R,1}) and funneled
-/// hybrid ({R,T}) strip engines: recycled wire buffers, activity-flag
-/// staging, exact word accounting. Each step sends one message per
-/// neighbor — [activity flag words][packed halo row] — under tags 2s /
-/// 2s+1, so the wire format and word counts are identical across every
-/// thread count and schedule.
+/// One strip rank's halo machinery, driven by its funnel thread: recycled
+/// wire buffers, activity-flag staging, exact word accounting. Each step
+/// sends one message per neighbor — [activity flag words][packed halo
+/// row] — under tags 2s / 2s+1, so the wire format and word counts are
+/// identical across every thread count and schedule.
 template <class W>
 class HaloExchange {
  public:
@@ -284,59 +282,12 @@ class HaloExchange {
   bool have_above_ = false, have_below_ = false;
 };
 
-/// Single-threaded engine body: plans {1,1} (ctx == nullptr) and {R,1}
-/// (kStrip, ctx set). One sweep over the active tiles per step.
-template <bool kStrip, class W>
-RunResult run_serial(W& w, typename W::Field& cur, typename W::Field& nxt,
-                     const Options& opt,
-                     [[maybe_unused]] mp::RankContext* ctx,
-                     [[maybe_unused]] const MpLinks& links) {
-  const TileMap tm(w.height(cur), w.width(cur), opt.tile_rows, opt.tile_cols);
-  ActivityMap act(tm, kStrip ? false : w.wrap_rows(cur), w.wrap_cols(cur));
-  std::vector<std::uint8_t> computed(tm.count(), 0);
-  w.init(cur);
-
-  RunResult res;
-  [[maybe_unused]] std::optional<HaloExchange<W>> halo;
-  if constexpr (kStrip) halo.emplace(w, *ctx, links, tm, w.halo_words(cur));
-
-  for (int s = 0; s < opt.max_steps; ++s) {
-    obs::TraceScope span(opt.span_name);
-    const std::uint8_t* above = nullptr;
-    const std::uint8_t* below = nullptr;
-    if constexpr (kStrip) {
-      halo->send(cur, act, s, res);
-      halo->recv(cur, s);
-      above = halo->above();
-      below = halo->below();
-    }
-    act.advance(above, below);
-    std::fill(computed.begin(), computed.end(), 0);
-    double max_delta = 0.0;
-    std::uint64_t ncomputed = 0;
-    for (std::size_t t = 0; t < tm.count(); ++t) {
-      if (opt.skip_quiescent && act.active()[t] == 0) continue;
-      const double d = w.step_tile(cur, nxt, tm.bounds(t));
-      act.mark_changed(t, d > opt.quiesce_eps);
-      computed[t] = 1;
-      if (d > max_delta) max_delta = d;
-      ++ncomputed;
-    }
-    w.finish_step(nxt, tm, computed);
-    std::swap(cur, nxt);
-    if constexpr (kStrip) {
-      if (opt.converge_eps >= 0.0) max_delta = allreduce_max(*ctx, max_delta);
-    }
-    if (step_epilogue(res, opt, ncomputed, tm.count(), max_delta)) break;
-  }
-  bump_counters(res);
-  return res;
-}
-
-/// Team engine body: plans {1,T} (ctx == nullptr) and the hybrid {R,T}
-/// (kStrip). The per-step *active* tile list is distributed across a
-/// core::Team, so workers share the (possibly sparse) live region
-/// instead of owning fixed row strips that may be entirely quiescent.
+/// The engine body, for every plan: local {1,T} (ctx == nullptr) and
+/// strip {R,T} (kStrip), with T = 1 a team of one that core::Team::run
+/// runs inline on the caller. The per-step *active* tile list is
+/// distributed across a core::Team, so workers share the (possibly
+/// sparse) live region instead of owning fixed row strips that may be
+/// entirely quiescent.
 /// With plan.steal_tiles each worker drains its share of the list
 /// through its own Chase–Lev deque and steals tiles from busy victims
 /// when dry; otherwise the list is block-partitioned up front (the
@@ -344,7 +295,7 @@ RunResult run_serial(W& w, typename W::Field& cur, typename W::Field& nxt,
 /// once per step, so grids and tile accounting are bit-identical across
 /// both modes and any thread count.
 ///
-/// Hybrid plans funnel ALL communication through the team's rank-0
+/// Strip plans funnel ALL communication through the team's rank-0
 /// thread (mp::Threading::kFunneled, asserted by RankContext). Under
 /// HaloSchedule::kOverlap the serial section sends the halo and seeds
 /// only the *interior* active tiles (those whose inputs are local); the
@@ -358,6 +309,8 @@ RunResult run_team(W& w, typename W::Field& cur, typename W::Field& nxt,
                    const ExecPlan& plan, const Options& opt,
                    [[maybe_unused]] mp::RankContext* ctx,
                    [[maybe_unused]] const MpLinks& links) {
+  if (w.height(nxt) != w.height(cur) || w.width(nxt) != w.width(cur))
+    throw std::invalid_argument("stencil nxt must have the shape of cur");
   const int threads = plan.threads_per_rank;
   const TileMap tm(w.height(cur), w.width(cur), opt.tile_rows, opt.tile_cols);
   ActivityMap act(tm, kStrip ? false : w.wrap_rows(cur), w.wrap_cols(cur));
@@ -381,8 +334,7 @@ RunResult run_team(W& w, typename W::Field& cur, typename W::Field& nxt,
   // published the boundary tiles; preset when there is nothing to wait
   // for. Workers spin past empty deques until it flips.
   std::atomic<bool> halo_done{true};
-  const bool overlap =
-      kStrip && plan.schedule == HaloSchedule::kOverlap && threads > 1;
+  const bool overlap = kStrip && plan.schedule == HaloSchedule::kOverlap;
 
   [[maybe_unused]] std::optional<HaloExchange<W>> halo;
   if constexpr (kStrip) halo.emplace(w, *ctx, links, tm, w.halo_words(cur));
@@ -568,9 +520,9 @@ RunResult run_team(W& w, typename W::Field& cur, typename W::Field& nxt,
 
 /// Unified engine, local plans ({1,1} and {1,T}): `cur` holds the input
 /// state and, on return, the final state; `nxt` is the scratch double
-/// buffer (same shape). plan.ranks must be 1 — multi-rank worlds are
-/// launched by a workload driver (life::run_plan, heat_relax_plan) or an
-/// SPMD body calling the strip overload below.
+/// buffer and must have cur's shape (std::invalid_argument otherwise).
+/// plan.ranks must be 1 — multi-rank plans run through run_world below,
+/// or an SPMD body calling the strip overload.
 template <class W>
 RunResult run(W& w, typename W::Field& cur, typename W::Field& nxt,
               const ExecPlan& plan, const Options& opt) {
@@ -579,9 +531,7 @@ RunResult run(W& w, typename W::Field& cur, typename W::Field& nxt,
   if (plan.ranks != 1)
     throw std::invalid_argument(
         "stencil::run without a RankContext executes one rank: multi-rank "
-        "plans go through a workload driver or the strip overload");
-  if (plan.threads_per_rank == 1)
-    return detail::run_serial<false, W>(w, cur, nxt, opt, nullptr, MpLinks{});
+        "plans go through run_world or the strip overload");
   return detail::run_team<false, W>(w, cur, nxt, plan, opt, nullptr,
                                     MpLinks{});
 }
@@ -590,8 +540,8 @@ RunResult run(W& w, typename W::Field& cur, typename W::Field& nxt,
 /// inside an SPMD rank body with this rank's row strip in `cur`/`nxt`.
 /// Each step sends one message per neighbor — [activity flag words]
 /// [packed halo row] — then dilates the local activity map with the
-/// received neighbor flags, computes the active tiles (on a core::Team
-/// when plan.threads_per_rank > 1, comm funneled through the team's
+/// received neighbor flags, computes the active tiles on a core::Team of
+/// plan.threads_per_rank threads (comm funneled through the team's
 /// rank-0 thread), and (when convergence is enabled) allreduces the
 /// step's max delta. The strip's tile grid must be the global tile grid
 /// restricted to this rank's rows (partition on tile-row boundaries) so
@@ -602,33 +552,66 @@ RunResult run(W& w, typename W::Field& cur, typename W::Field& nxt,
               const MpLinks& links) {
   detail::validate(opt);
   detail::validate(plan);
-  if (plan.threads_per_rank == 1)
-    return detail::run_serial<true, W>(w, cur, nxt, opt, &ctx, links);
   return detail::run_team<true, W>(w, cur, nxt, plan, opt, &ctx, links);
 }
 
-// ---- compat wrappers (the pre-ExecPlan entry points) ----
+/// Runs a multi-rank plan in process: plan.ranks strip ranks of a domain
+/// `rows` high in one mp::Communicator world. Rows are
+/// block-partitioned on tile-row boundaries, so every strip's tile grid is
+/// the global grid restricted to its rows and skip decisions match the
+/// local engine tile for tile; the tile height shrinks if needed so every
+/// rank owns at least one tile row. Each rank builds its strip with
+/// load(r0, r1) (rows [r0, r1)), runs the strip overload of run() with
+/// links to its neighbors (`wrap` closes the torus through the end ranks),
+/// and — after one world barrier, so no rank writes back while another
+/// still loads — hands the strip to store(strip, r0). The result sums tile
+/// and halo-word counts over the ranks and takes the max last_delta;
+/// `traffic`, if set, receives the world's totals.
+template <class W, class Load, class Store>
+RunResult run_world(W w, std::size_t rows, bool wrap, const ExecPlan& plan,
+                    Options opt, const Load& load, const Store& store,
+                    mp::TrafficStats* traffic = nullptr) {
+  detail::validate(plan);
+  const auto ranks = static_cast<std::size_t>(plan.ranks);
+  if (ranks > rows) throw std::invalid_argument("more ranks than rows");
+  opt.tile_rows =
+      std::max<std::size_t>(1, std::min(opt.tile_rows, rows / ranks));
+  const std::size_t n_tiles = (rows + opt.tile_rows - 1) / opt.tile_rows;
 
-/// Sequential engine: plan {1,1}.
-template <class W>
-RunResult run_seq(W& w, typename W::Field& cur, typename W::Field& nxt,
-                  const Options& opt) {
-  return run(w, cur, nxt, ExecPlan{}, opt);
-}
+  std::vector<RunResult> results(ranks);
+  mp::Communicator comm(plan.ranks);
+  comm.run([&](mp::RankContext& ctx) {
+    const int r = ctx.rank();
+    const auto ur = static_cast<std::size_t>(r);
+    const std::size_t tlo =
+        ur * (n_tiles / ranks) + std::min(ur, n_tiles % ranks);
+    const std::size_t thi =
+        tlo + n_tiles / ranks + (ur < n_tiles % ranks ? 1 : 0);
+    const std::size_t r0 = tlo * opt.tile_rows;
+    typename W::Field cur = load(r0, std::min(rows, thi * opt.tile_rows));
+    const MpLinks links{r > 0 ? r - 1 : (wrap ? plan.ranks - 1 : -1),
+                        r + 1 < plan.ranks ? r + 1 : (wrap ? 0 : -1)};
+    {
+      // Free the scratch buffer as soon as this rank is done with it, while
+      // others may still compute: freed after the writeback instead, a
+      // zero-step 256x1024 heat world took ~0.13 ms (5%) longer to launch
+      // on a 4-vCPU host.
+      typename W::Field nxt = cur;
+      results[ur] = run(w, cur, nxt, plan, opt, ctx, links);
+    }
+    ctx.barrier();
+    store(cur, r0);
+  });
+  if (traffic != nullptr) *traffic = comm.traffic();
 
-/// Shared-memory engine: plan {1,threads}.
-template <class W>
-RunResult run_threaded(W& w, typename W::Field& cur, typename W::Field& nxt,
-                       const Options& opt, int threads) {
-  return run(w, cur, nxt, ExecPlan{.threads_per_rank = threads}, opt);
-}
-
-/// Message-passing engine: plan {R,1}, one single-threaded strip rank.
-template <class W>
-RunResult run_mp(W& w, typename W::Field& cur, typename W::Field& nxt,
-                 const Options& opt, mp::RankContext& ctx,
-                 const MpLinks& links) {
-  return run(w, cur, nxt, ExecPlan{}, opt, ctx, links);
+  RunResult total = results[0];
+  for (std::size_t i = 1; i < ranks; ++i) {
+    total.tiles_computed += results[i].tiles_computed;
+    total.tiles_skipped += results[i].tiles_skipped;
+    total.halo_words += results[i].halo_words;
+    total.last_delta = std::max(total.last_delta, results[i].last_delta);
+  }
+  return total;
 }
 
 }  // namespace pdc::stencil

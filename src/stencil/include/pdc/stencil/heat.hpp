@@ -99,24 +99,26 @@ struct HeatWorkload {
   void finish_halo(Field&) const {}
 };
 
-/// Relax `field` in place until convergence (or max_steps); sequential.
+/// Relax `field` in place until convergence (or max_steps); sequential
+/// (plan {1,1}).
 RunResult heat_relax(HeatField& field, const HeatOptions& opt);
 
 /// Same computation on the shared-memory engine (plan {1,threads}).
 RunResult heat_relax_threaded(HeatField& field, const HeatOptions& opt,
                               int threads);
 
-/// Same computation on an arbitrary ExecPlan: plan.ranks row strips
-/// (each an in-process message-passing rank — the driver requires
-/// mp::TransportKind::kInproc; launch shm/tcp worlds through
-/// mp::launch::run_spmd with heat_relax_strip inside each body) with
-/// plan.threads_per_rank threads relaxing every strip. Rows are
-/// partitioned on tile boundaries so every plan's skip decisions — and
-/// therefore fields, steps, residuals, tile counts — are bit-identical.
+/// Same computation on an arbitrary ExecPlan. One rank relaxes `field`
+/// locally; more run plan.ranks row strips as one in-process world
+/// (stencil::run_world) with plan.threads_per_rank threads relaxing every
+/// strip (shm/tcp worlds: mp::launch::run_spmd with heat_relax_strip
+/// inside each body). Rows are partitioned on tile boundaries so every
+/// plan's skip decisions — and therefore fields, steps, residuals, tile
+/// counts — are bit-identical.
 RunResult heat_relax_plan(HeatField& field, const HeatOptions& opt,
                           const ExecPlan& plan);
 
-/// Same computation on the message-passing engine: plan {ranks, 1}.
+/// Same computation on the message-passing engine: plan {ranks, 1},
+/// always in a world of its own, even for one rank.
 RunResult heat_relax_mp(HeatField& field, const HeatOptions& opt, int ranks);
 
 /// One rank's share of heat_relax_plan, callable from inside an existing
@@ -124,10 +126,8 @@ RunResult heat_relax_mp(HeatField& field, const HeatOptions& opt, int ranks);
 /// directly). `strip` is this rank's rows with boundary + halo ring
 /// already set; for cross-engine-identical skip decisions the strip's
 /// row count must be a whole number of tiles except on the last rank.
-/// The plan overload runs plan.threads_per_rank threads inside the rank
-/// (plan.ranks and plan.transport are the launcher's concern here).
-RunResult heat_relax_strip(HeatField& strip, const HeatOptions& opt,
-                           mp::RankContext& ctx, const MpLinks& links);
+/// plan.threads_per_rank threads relax the strip; plan.ranks is the
+/// launcher's concern.
 RunResult heat_relax_strip(HeatField& strip, const HeatOptions& opt,
                            const ExecPlan& plan, mp::RankContext& ctx,
                            const MpLinks& links);

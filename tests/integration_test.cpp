@@ -136,7 +136,7 @@ TEST(Integration, LifeTrafficMatchesBspHRelation) {
   const int gens = 12, ranks = 4;
   const std::uint64_t words_per_msg = 64 / 64 + 1;
   std::uint64_t messages = 0, words = 0;
-  pdc::life::run_message_passing(board, gens, ranks, &messages, &words);
+  pdc::life::run_message_passing(board, gens, ranks, {}, &messages, &words);
 
   pdc::model::BspProgram prog;
   for (int g = 0; g < gens; ++g)

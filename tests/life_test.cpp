@@ -161,8 +161,8 @@ TEST(Engines, MessagePassingTrafficScalesWithRanksAndGenerations) {
   pl::Grid a = pl::random_grid(32, 32, 0.3, 5);
   pl::Grid b = a;
   std::uint64_t msgs2 = 0, msgs4 = 0, words2 = 0, words4 = 0;
-  pl::run_message_passing(a, 10, 2, &msgs2, &words2);
-  pl::run_message_passing(b, 10, 4, &msgs4, &words4);
+  pl::run_message_passing(a, 10, 2, {}, &msgs2, &words2);
+  pl::run_message_passing(b, 10, 4, {}, &msgs4, &words4);
   // Torus halo exchange: 2 messages per rank per generation, plus the
   // final barrier's 2*(p-1) empty messages.
   EXPECT_EQ(msgs2, 2u * 2u * 10u + 2u);
@@ -181,7 +181,7 @@ TEST(Engines, PackedWireFormatCutsPayload64xVsByteFormat) {
   pl::Grid board = pl::random_grid(16, 1024, 0.3, 11);
   const int gens = 5, ranks = 4;
   std::uint64_t msgs = 0, words = 0;
-  pl::run_message_passing(board, gens, ranks, &msgs, &words);
+  pl::run_message_passing(board, gens, ranks, {}, &msgs, &words);
   const std::uint64_t halo_msgs = 2ull * ranks * gens;
   EXPECT_EQ(msgs, halo_msgs + 2u * (ranks - 1));  // + final barrier
   EXPECT_EQ(words, halo_msgs * (1024u / 64u + 1u));

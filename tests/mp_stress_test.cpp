@@ -195,8 +195,9 @@ TEST(P2pFuzz, RingPipelineSurvivesFaultPlans) {
 // ------------------------------------------------- stencil heat sweep ---
 
 /// The mp heat engine's strip body, parameterized by the execution plan
-/// inside each rank: {1} is the classic funnel-free strip, {T>1} runs a
-/// tile team per rank with comm funneled through its rank-0 thread.
+/// inside each rank: a tile team of plan.threads_per_rank threads per
+/// rank with comm funneled through its rank-0 thread — for {1}, the
+/// rank's own thread.
 pt::SpmdBody heat_strip_body(pdc::stencil::ExecPlan plan) {
   return [plan](mp::RankContext& ctx) {
     namespace st = pdc::stencil;

@@ -26,11 +26,12 @@
 #include "pdc/life/engine.hpp"
 #include "pdc/life/grid.hpp"
 #include "pdc/mp/comm.hpp"
-#include "pdc/mp/transport.hpp"
+#include "pdc/obs/obs.hpp"
 
 namespace ps = pdc::stencil;
 namespace pl = pdc::life;
 namespace mp = pdc::mp;
+namespace obs = pdc::obs;
 
 // ---------------------------------------------------------------- tiles ---
 
@@ -465,7 +466,7 @@ TEST(Heat, MpHaloWordsAreExact) {
   EXPECT_EQ(res.halo_words, res.steps * 2u * (1u + 48u));
 }
 
-// ------------------------------------------ tile-stealing run_threaded ---
+// ------------------------------------------------------- tile stealing ---
 
 // Acceptance criterion for the work-stealing engine: tile stealing is a
 // pure load-balance lever. Grids stay bit-identical to the sequential
@@ -532,9 +533,9 @@ TEST(TileStealing, HeatStealingMatchesSequentialExactly1To8Threads) {
 
 // ------------------------------------------------- hybrid ExecPlan ------
 
-// The single-entry-point contract: the legacy wrappers are thin aliases
-// of run() on the corresponding plan — same grids, same accounting,
-// same wire words, byte for byte.
+// The single-entry-point contract: the curriculum-named entry points are
+// one-line aliases of run_plan on the corresponding plan — same grids,
+// same accounting, same wire words, byte for byte.
 TEST(HybridPlan, CompatWrappersMatchPlanEntryPoints) {
   const pl::Grid start = pl::random_grid(48, 96, 0.3, 11);
   pl::EngineOptions opt;
@@ -680,29 +681,110 @@ TEST(HybridPlan, HeatBitIdenticalToSeqOracleAcrossPlanMatrix) {
   }
 }
 
-TEST(HybridPlan, ValidatesPlanShapeAndTransport) {
+TEST(HybridPlan, ValidatesPlanShape) {
   pl::Grid g = pl::random_grid(8, 8, 0.3, 1);
   EXPECT_THROW(pl::run_plan(g, 1, ps::ExecPlan{.ranks = 0}),
                std::invalid_argument);
   EXPECT_THROW(pl::run_plan(g, 1, ps::ExecPlan{.threads_per_rank = 0}),
                std::invalid_argument);
-  // In-process drivers refuse process transports: those worlds are
-  // launched via mp::launch::run_spmd with the strip-level run() inside
-  // each body.
-  EXPECT_THROW(
-      pl::run_plan(
-          g, 1,
-          ps::ExecPlan{.ranks = 2, .transport = mp::TransportKind::kShm}),
-      std::invalid_argument);
   ps::HeatField f = hot_top(8, 8);
   ps::HeatOptions hopt;
   EXPECT_THROW(ps::heat_relax_plan(f, hopt, ps::ExecPlan{.ranks = 0}),
                std::invalid_argument);
-  EXPECT_THROW(
-      ps::heat_relax_plan(
-          f, hopt,
-          ps::ExecPlan{.ranks = 2, .transport = mp::TransportKind::kTcp}),
-      std::invalid_argument);
+}
+
+// A multi-rank run reports the global max delta, not rank 0's: the only
+// live cells (a blinker) sit in rank 1's strip, so rank 0's own last
+// delta is 0 while the board still changes every generation.
+TEST(HybridPlan, LifeLastDeltaIsTheMaxOverRanks) {
+  pl::Grid start(64, 64, pl::Boundary::kDead);
+  pl::stamp(start, pl::blinker(pl::Boundary::kDead), 41, 10);
+  const int gens = 3;
+  pl::Grid seq = start;
+  const ps::RunResult rs = pl::run_sequential(seq, gens);
+  ASSERT_EQ(rs.last_delta, 1.0);
+  for (const int threads : {1, 2}) {
+    const ps::ExecPlan plan{.ranks = 2, .threads_per_rank = threads};
+    pl::Grid g = start;
+    const ps::RunResult r = pl::run_plan(g, gens, plan);
+    EXPECT_EQ(g, seq) << "threads " << threads;
+    EXPECT_EQ(r.last_delta, rs.last_delta) << "threads " << threads;
+  }
+}
+
+// The engine writes every tile of `cur`'s grid into `nxt`, so a scratch
+// buffer of another shape is refused before anything is touched.
+TEST(StencilEngine, RejectsScratchOfAnotherShape) {
+  ps::Options opt;
+  opt.tile_rows = 16;
+  opt.tile_cols = 16;
+  ps::HeatWorkload w;
+  const ps::HeatField start = hot_top(64, 64);
+  for (const int threads : {1, 2}) {
+    const ps::ExecPlan plan{.threads_per_rank = threads};
+    ps::HeatField cur = start;
+    ps::HeatField nxt = hot_top(8, 8);
+    EXPECT_THROW(ps::run(w, cur, nxt, plan, opt), std::invalid_argument);
+    EXPECT_TRUE(cur == start);
+  }
+  // The strip overload, inside a one-rank world.
+  ps::HeatField cur = start;
+  ps::HeatField nxt = hot_top(64, 65);
+  const auto strip_run = [&](mp::RankContext& ctx) {
+    ps::run(w, cur, nxt, ps::ExecPlan{}, opt, ctx, ps::MpLinks{});
+  };
+  mp::Communicator comm(1);
+  EXPECT_THROW(comm.run(strip_run), std::invalid_argument);
+}
+
+// Where a strip rank waits for its halo under the default kOverlap
+// schedule, one thread per rank or a team: inside the step span, never
+// in the serial section between steps and never in the convergence
+// allreduce. perfbench's mp.recv_wait_us_per_step reads exactly these
+// receives (mp.recv nested in heat.step, outside mp.allreduce).
+TEST(HybridPlan, HaloReceiveLiesInsideTheStepSpan) {
+  ps::HeatOptions opt;
+  opt.conductivity = 0.25;
+  opt.converge_eps = 1e-2;
+  opt.tile_rows = 4;
+  opt.tile_cols = 8;
+  using Span = std::pair<std::int64_t, std::int64_t>;  // [start, end]
+  const auto inside = [](const std::vector<Span>& outer, const Span& s) {
+    return std::any_of(outer.begin(), outer.end(), [&](const Span& o) {
+      return o.first <= s.first && s.second <= o.second;
+    });
+  };
+  for (const int threads : {1, 2}) {
+    const ps::ExecPlan plan{.ranks = 2, .threads_per_rank = threads};
+    ps::HeatField f = hot_top(16, 16);
+    obs::clear_trace();
+    obs::set_tracing_enabled(true);
+    const ps::RunResult res = ps::heat_relax_plan(f, opt, plan);
+    obs::set_tracing_enabled(false);
+    ASSERT_GT(res.steps, 1u);
+    std::uint64_t halo_recvs = 0, outside_step = 0;
+    for (const auto& t : obs::trace_threads()) {
+      EXPECT_EQ(t.dropped, 0u);
+      std::vector<Span> steps, collectives, recvs;
+      for (const auto& e : t.events) {
+        const Span s{e.start_ns, e.start_ns + e.dur_ns};
+        if (std::strcmp(e.name, "heat.step") == 0) steps.push_back(s);
+        if (std::strcmp(e.name, "mp.recv") == 0) recvs.push_back(s);
+        if (std::strcmp(e.name, "mp.allreduce") == 0 ||
+            std::strcmp(e.name, "mp.barrier") == 0)
+          collectives.push_back(s);
+      }
+      for (const Span& r : recvs) {
+        if (inside(collectives, r)) continue;  // a collective's own receive
+        ++halo_recvs;
+        if (!inside(steps, r)) ++outside_step;
+      }
+    }
+    // Two ranks, one neighbor each: one halo receive per rank per step.
+    EXPECT_EQ(halo_recvs, 2 * res.steps) << "threads " << threads;
+    EXPECT_EQ(outside_step, 0u) << "threads " << threads;
+  }
+  obs::clear_trace();
 }
 
 // ------------------------------------------- funneled threading mode ---
