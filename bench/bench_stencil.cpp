@@ -63,7 +63,7 @@ double run_life_timed(const pl::Grid& start, int gens,
                       const pl::EngineOptions& opt, ps::RunResult& res) {
   pl::Grid board = start;
   pdc::perf::Timer t;
-  res = pl::run_sequential(board, gens, opt);
+  res = pl::run_plan(board, gens, {}, opt);
   const auto ns = static_cast<double>(t.elapsed_ns());
   benchmark::DoNotOptimize(board);
   return ns / 1e6;  // ms
@@ -221,9 +221,10 @@ void print_heat_engines(pdc::benchutil::Options& bopt) {
                std::to_string(res.tiles_skipped), pdc::perf::fmt(ms, 1)});
   };
   add("sequential",
-      [&](ps::HeatField& f) { return ps::heat_relax(f, hopt); });
-  add("threaded x4",
-      [&](ps::HeatField& f) { return ps::heat_relax_threaded(f, hopt, 4); });
+      [&](ps::HeatField& f) { return ps::heat_relax_plan(f, hopt, {}); });
+  add("threaded x4", [&](ps::HeatField& f) {
+    return ps::heat_relax_plan(f, hopt, {.threads_per_rank = 4});
+  });
   add("mp x4",
       [&](ps::HeatField& f) { return ps::heat_relax_mp(f, hopt, 4); });
   add("hybrid 2x2", [&](ps::HeatField& f) {
@@ -312,7 +313,7 @@ void print_model_counts(pdc::benchutil::Options& bopt) {
   lopt.tile_words = 2;
   {
     pl::Grid b = life_start;
-    add("life seq 256x256 t32x2 g10", pl::run_sequential(b, 10, lopt));
+    add("life seq 256x256 t32x2 g10", pl::run_plan(b, 10, {}, lopt));
   }
   {
     pl::Grid b = life_start;
@@ -330,7 +331,7 @@ void print_model_counts(pdc::benchutil::Options& bopt) {
   // Life, sparse corner soup: most tiles asleep; exact skip counts.
   {
     pl::Grid b = sparse_board(512, 512, 64, 64, 42);
-    add("life seq sparse 512x512 t32x2 g20", pl::run_sequential(b, 20, lopt));
+    add("life seq sparse 512x512 t32x2 g20", pl::run_plan(b, 20, {}, lopt));
   }
 
   // Heat to convergence: steps must agree across engines (rows 4 and 5),
@@ -344,7 +345,7 @@ void print_model_counts(pdc::benchutil::Options& bopt) {
   {
     ps::HeatField f(64, 96, 0.0f);
     f.set_boundary(1.0f, 0.0f, 0.0f, 0.0f);
-    add("heat seq 64x96 eps1e-4", ps::heat_relax(f, hopt));
+    add("heat seq 64x96 eps1e-4", ps::heat_relax_plan(f, hopt, {}));
   }
   {
     ps::HeatField f(64, 96, 0.0f);
@@ -375,7 +376,7 @@ void BM_LifeSparseSkip(benchmark::State& state) {
   opt.tile_words = 4;
   opt.skip_quiescent = skip;
   for (auto _ : state) {
-    pl::run_sequential(board, 8, opt);
+    pl::run_plan(board, 8, {}, opt);
     benchmark::DoNotOptimize(board);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -391,7 +392,7 @@ void BM_HeatStep(benchmark::State& state) {
   hopt.converge_eps = -1.0;  // fixed step count: price the raw kernel
   hopt.max_steps = 4;
   for (auto _ : state) {
-    ps::heat_relax(f, hopt);
+    ps::heat_relax_plan(f, hopt, {});
     benchmark::DoNotOptimize(f);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

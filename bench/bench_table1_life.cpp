@@ -50,7 +50,7 @@ void print_packed_vs_byte(bool smoke) {
       cells_per_ns(n, byte_gens, pdc::life::run_reference, start);
   const double packed_tp = cells_per_ns(
       n, packed_gens,
-      [](pdc::life::Grid& b, int g) { pdc::life::run_sequential(b, g); },
+      [](pdc::life::Grid& b, int g) { pdc::life::run_plan(b, g, {}); },
       start);
 
   pdc::perf::Table table({"kernel", "cells/ns", "ratio"});
@@ -77,7 +77,7 @@ void print_scalability_study(pdc::benchutil::Options& bopt) {
   cfg.repetitions = smoke ? 2 : 3;
   const auto study = pdc::perf::run_strong_scaling(cfg, [&](int threads) {
     pdc::life::Grid board = start;
-    pdc::life::run_threaded(board, gens, threads);
+    pdc::life::run_plan(board, gens, {.threads_per_rank = threads});
   });
 
   std::cout << "== T1-life: threaded Game of Life strong scaling ("
@@ -130,7 +130,7 @@ void BM_LifeSequential(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   auto board = pdc::life::random_grid(n, n, 0.3, 7);
   for (auto _ : state) {
-    pdc::life::run_sequential(board, 1);
+    pdc::life::run_plan(board, 1, {});
     benchmark::DoNotOptimize(board);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -143,7 +143,7 @@ void BM_LifeThreaded(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   auto board = pdc::life::random_grid(n, n, 0.3, 7);
   for (auto _ : state) {
-    pdc::life::run_threaded(board, 1, threads);
+    pdc::life::run_plan(board, 1, {.threads_per_rank = threads});
     benchmark::DoNotOptimize(board);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

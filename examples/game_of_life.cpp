@@ -2,9 +2,10 @@
 //
 //   build/examples/game_of_life [rows cols generations max_threads]
 //
-// Runs a glider demo (printed), checks that all three engines agree, and
-// performs the lab's scalability study on the threaded engine. Exits 1 if
-// the engines disagree.
+// Runs a glider demo (printed), checks that the three execution plans of
+// the one Life engine agree — sequential {1,1}, threaded {1,T} and
+// message-passing {R,1} — and performs the lab's scalability study on the
+// threaded plan. Exits 1 if the plans disagree.
 
 #include <cstdlib>
 #include <iostream>
@@ -23,15 +24,15 @@ int main(int argc, char** argv) {
   pdc::life::Grid demo(8, 8);
   pdc::life::stamp(demo, pdc::life::glider(), 0, 0);
   std::cout << "glider, generation 0:\n" << demo.to_string() << "\n";
-  pdc::life::run_sequential(demo, 4);
+  pdc::life::run_plan(demo, 4, {});
   std::cout << "after 4 generations (moved one cell diagonally):\n"
             << demo.to_string() << "\n";
 
-  // --- engine equivalence on the study board ---
+  // --- plan equivalence on the study board ---
   const auto start = pdc::life::random_grid(rows, cols, 0.3, 42);
   pdc::life::Grid seq = start, thr = start, msg = start;
-  pdc::life::run_sequential(seq, gens);
-  pdc::life::run_threaded(thr, gens, max_threads);
+  pdc::life::run_plan(seq, gens, {});
+  pdc::life::run_plan(thr, gens, {.threads_per_rank = max_threads});
   std::uint64_t messages = 0, words = 0;
   pdc::life::run_message_passing(msg, gens, std::min(max_threads, 4), {},
                                  &messages, &words);
@@ -48,7 +49,7 @@ int main(int argc, char** argv) {
   cfg.repetitions = 3;
   const auto study = pdc::perf::run_strong_scaling(cfg, [&](int threads) {
     pdc::life::Grid board = start;
-    pdc::life::run_threaded(board, gens, threads);
+    pdc::life::run_plan(board, gens, {.threads_per_rank = threads});
   });
   std::cout << "threaded Game of Life, " << rows << "x" << cols << ", "
             << gens << " generations:\n"

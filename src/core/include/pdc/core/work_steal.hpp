@@ -1,7 +1,7 @@
 #pragma once
 // Chase–Lev work-stealing deque — the load-balancing primitive under
-// Schedule::kStealing (parallel_for.hpp) and the stencil engine's
-// tile-stealing run_threaded. One owner pushes and pops at the bottom
+// Schedule::kStealing (parallel_for.hpp) and the stencil engine's tile
+// stealing on multi-thread plans. One owner pushes and pops at the bottom
 // (LIFO, cache-warm); any number of thieves steal from the top (FIFO,
 // the oldest — typically largest — work first).
 //

@@ -48,7 +48,6 @@ stencil::RunResult run_ranks(Grid& board, int generations,
                              const EngineOptions& opt,
                              std::uint64_t* messages_out,
                              std::uint64_t* payload_words_out) {
-  const std::size_t cols = board.cols();
   mp::TrafficStats traffic;
   const stencil::RunResult res = stencil::run_world(
       LifeWorkload{.external_halo = true}, board.rows(),
@@ -57,22 +56,12 @@ stencil::RunResult run_ranks(Grid& board, int generations,
       [&](std::size_t r0, std::size_t r1) {
         // The row halos are filled from received messages (never by
         // sync_halo_rows); the column wrap stays a local concern.
-        PackedGrid strip(r1 - r0, cols, board.boundary());
-        for (std::size_t i = 0; i < r1 - r0; ++i) {
-          const std::uint8_t* src = board.row_data(r0 + i);
-          std::uint64_t* dst = strip.row_words(i);
-          for (std::size_t c = 0; c < cols; ++c)
-            dst[c / 64] |= static_cast<std::uint64_t>(src[c] & 1) << (c % 64);
-        }
+        PackedGrid strip(r1 - r0, board.cols(), board.boundary());
+        strip.load_rows(board, r0);
         return strip;
       },
       [&](const PackedGrid& strip, std::size_t r0) {
-        for (std::size_t i = 0; i < strip.rows(); ++i) {
-          const std::uint64_t* src = strip.row_words(i);
-          std::uint8_t* dst = board.row_data(r0 + i);
-          for (std::size_t c = 0; c < cols; ++c)
-            dst[c] = static_cast<std::uint8_t>((src[c / 64] >> (c % 64)) & 1);
-        }
+        strip.store_rows(board, r0);
       },
       &traffic);
   if (messages_out != nullptr) *messages_out = traffic.messages;
@@ -90,17 +79,6 @@ void run_reference(Grid& board, int generations) {
     step_rows_bytes(board, next, 0, board.rows());
     std::swap(board, next);
   }
-}
-
-stencil::RunResult run_sequential(Grid& board, int generations,
-                                  const EngineOptions& opt) {
-  return run_plan(board, generations, stencil::ExecPlan{}, opt);
-}
-
-stencil::RunResult run_threaded(Grid& board, int generations, int threads,
-                                const EngineOptions& opt) {
-  return run_plan(board, generations,
-                  stencil::ExecPlan{.threads_per_rank = threads}, opt);
 }
 
 stencil::RunResult run_message_passing(Grid& board, int generations,
@@ -129,7 +107,7 @@ stencil::RunResult run_plan(Grid& board, int generations,
   LifeWorkload w;
   const stencil::RunResult res =
       stencil::run(w, cur, nxt, plan, engine_opts(opt, generations));
-  board = cur.unpack();
+  cur.store_rows(board, 0);
   return res;
 }
 

@@ -45,6 +45,15 @@ class PackedGrid {
   /// Convert back to the public byte representation.
   [[nodiscard]] Grid unpack() const;
 
+  /// Pack rows [first, first + rows()) of `grid` into this board's rows,
+  /// zeroing each row's payload words first. Ghost bits need a re-sync
+  /// afterwards. Throws std::invalid_argument, touching nothing, if the
+  /// column counts differ or the rows run past the end of `grid`.
+  void load_rows(const Grid& grid, std::size_t first);
+  /// Unpack this board's rows into rows [first, first + rows()) of `grid`;
+  /// throws like load_rows.
+  void store_rows(Grid& grid, std::size_t first) const;
+
   [[nodiscard]] std::size_t rows() const { return rows_; }
   [[nodiscard]] std::size_t cols() const { return cols_; }
   [[nodiscard]] Boundary boundary() const { return boundary_; }
@@ -85,20 +94,15 @@ class PackedGrid {
   /// carries them along.
   void sync_halo_rows();
 
-  /// One generation: compute rows [row_begin, row_end) of `dst` from this
-  /// board. Requires ghosts + halo rows of *this to be in sync; writes only
-  /// masked payload words of `dst` (its ghosts need a re-sync afterwards).
-  /// Cache-blocked: wide rows are processed in column tiles across the row
-  /// strip so each tile's 4-row working set stays in L1.
-  void step_rows_into(PackedGrid& dst, std::size_t row_begin,
-                      std::size_t row_end) const;
-
-  /// One generation restricted to a tile: rows [row_begin, row_end) x
-  /// payload words [word_begin, word_end). Same preconditions as
-  /// step_rows_into — in particular the *word columns adjacent to the
-  /// tile* must hold current bits, which is what the stencil engine's
-  /// one-tile activity dilation guarantees. Returns true iff any masked
-  /// word of the tile changed (the stencil dirty predicate).
+  /// One generation restricted to a tile: compute rows [row_begin,
+  /// row_end) x payload words [word_begin, word_end) of `dst` from this
+  /// board. Requires the ghosts and halo rows of *this to be in sync, and
+  /// the *word columns adjacent to the tile* to hold current bits, which
+  /// is what the stencil engine's one-tile activity dilation guarantees.
+  /// Writes only masked payload words of `dst` (its ghosts need a re-sync
+  /// afterwards). Wide tiles are swept in column blocks so each block's
+  /// 4-row working set stays in L1. Returns true iff any masked word of
+  /// the tile changed (the stencil dirty predicate).
   bool step_tile_into(PackedGrid& dst, std::size_t row_begin,
                       std::size_t row_end, std::size_t word_begin,
                       std::size_t word_end) const;

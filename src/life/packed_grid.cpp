@@ -29,6 +29,16 @@ inline void full_add(std::uint64_t a, std::uint64_t b, std::uint64_t cin,
   c = (a & b) | (cin & t);
 }
 
+/// The byte rows load_rows/store_rows touch: rows [first, first + rows)
+/// of `grid`, which must be `cols` wide.
+void check_span(const Grid& grid, std::size_t first, std::size_t rows,
+                std::size_t cols) {
+  if (grid.cols() != cols)
+    throw std::invalid_argument("packed/byte grid column count mismatch");
+  if (first > grid.rows() || grid.rows() - first < rows)
+    throw std::invalid_argument("packed rows run past the byte grid");
+}
+
 }  // namespace
 
 PackedGrid::PackedGrid(std::size_t rows, std::size_t cols, Boundary boundary)
@@ -45,23 +55,38 @@ PackedGrid::PackedGrid(std::size_t rows, std::size_t cols, Boundary boundary)
 
 PackedGrid::PackedGrid(const Grid& grid)
     : PackedGrid(grid.rows(), grid.cols(), grid.boundary()) {
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const std::uint8_t* src = grid.row_data(r);
-    std::uint64_t* dst = row_words(r);
-    for (std::size_t c = 0; c < cols_; ++c)
-      dst[c / kBits] |= static_cast<std::uint64_t>(src[c] & 1) << (c % kBits);
-  }
+  load_rows(grid, 0);
 }
 
 Grid PackedGrid::unpack() const {
   Grid out(rows_, cols_, boundary_);
+  store_rows(out, 0);
+  return out;
+}
+
+// Both loops bound by a local `cols`: the compiler must assume the stores
+// through `dst` may alias cols_ and would reload it for every cell.
+void PackedGrid::load_rows(const Grid& grid, std::size_t first) {
+  check_span(grid, first, rows_, cols_);
+  const std::size_t cols = cols_;
+  for (std::size_t r = 0; r < rows_; ++r) {
+    const std::uint8_t* src = grid.row_data(first + r);
+    std::uint64_t* dst = row_words(r);
+    std::fill_n(dst, words_, std::uint64_t{0});
+    for (std::size_t c = 0; c < cols; ++c)
+      dst[c / kBits] |= static_cast<std::uint64_t>(src[c] & 1) << (c % kBits);
+  }
+}
+
+void PackedGrid::store_rows(Grid& grid, std::size_t first) const {
+  check_span(grid, first, rows_, cols_);
+  const std::size_t cols = cols_;
   for (std::size_t r = 0; r < rows_; ++r) {
     const std::uint64_t* src = row_words(r);
-    std::uint8_t* dst = out.row_data(r);
-    for (std::size_t c = 0; c < cols_; ++c)
+    std::uint8_t* dst = grid.row_data(first + r);
+    for (std::size_t c = 0; c < cols; ++c)
       dst[c] = static_cast<std::uint8_t>((src[c / kBits] >> (c % kBits)) & 1);
   }
-  return out;
 }
 
 bool PackedGrid::get(std::size_t r, std::size_t c) const {
@@ -171,21 +196,6 @@ void PackedGrid::step_row_words(const std::uint64_t* up,
     out[w] = n1 & ~n2 & ~n3 & (n0 | m);
   }
   out[nwords - 1] &= tail_mask;
-}
-
-void PackedGrid::step_rows_into(PackedGrid& dst, std::size_t row_begin,
-                                std::size_t row_end) const {
-  if (dst.rows_ != rows_ || dst.cols_ != cols_)
-    throw std::invalid_argument("destination grid shape mismatch");
-  for (std::size_t w0 = 0; w0 < words_; w0 += kTileWords) {
-    const std::size_t w1 = std::min(words_, w0 + kTileWords);
-    const std::uint64_t mask = w1 == words_ ? tail_mask_ : ~std::uint64_t{0};
-    for (std::size_t r = row_begin; r < row_end; ++r) {
-      step_row_words(padded_row(r) + w0, padded_row(r + 1) + w0,
-                     padded_row(r + 2) + w0, dst.padded_row(r + 1) + w0,
-                     w1 - w0, mask);
-    }
-  }
 }
 
 bool PackedGrid::step_tile_into(PackedGrid& dst, std::size_t row_begin,

@@ -620,7 +620,6 @@ RankContext::RankContext(Communicator* comm, int rank)
 }
 
 void RankContext::check_comm_thread() const {
-#if PDC_MP_THREAD_CHECKS
   if (std::this_thread::get_id() !=
       comm_thread_.load(std::memory_order_acquire)) {
     throw std::logic_error(
@@ -630,7 +629,6 @@ void RankContext::check_comm_thread() const {
         "thread. Multi-threaded rank bodies must funnel every comm call "
         "through the one thread that called set_threading(kFunneled).");
   }
-#endif
 }
 
 int RankContext::size() const { return comm_->size(); }

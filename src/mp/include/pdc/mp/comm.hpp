@@ -63,28 +63,14 @@ enum class ReduceOp { kSum, kProd, kMin, kMax };
 ///    the hybrid stencil engine runs: worker threads compute tiles, the
 ///    team's rank-0 thread owns every send/recv/collective.
 ///
-/// The contract is enforced: every p2p call, probe, arrival wait and
-/// collective checks the calling thread (when PDC_MP_THREAD_CHECKS is on,
-/// the default outside NDEBUG builds) and throws std::logic_error on a
-/// violation — a deterministic failure instead of a silent mailbox race.
+/// The contract is enforced in every build: every p2p call, probe,
+/// arrival wait and collective checks the calling thread (one get_id()
+/// and one atomic load) and throws std::logic_error on a violation — a
+/// deterministic failure instead of a silent mailbox race.
 enum class Threading {
   kSingle,    ///< one thread per rank, pinned at construction
   kFunneled,  ///< many compute threads, one designated comm thread
 };
-
-#ifndef PDC_MP_THREAD_CHECKS
-#ifdef NDEBUG
-#define PDC_MP_THREAD_CHECKS 0
-#else
-#define PDC_MP_THREAD_CHECKS 1
-#endif
-#endif
-
-/// True when RankContext verifies the Threading contract on every comm
-/// call (debug builds; compiled out under NDEBUG).
-[[nodiscard]] constexpr bool thread_checks_enabled() {
-  return PDC_MP_THREAD_CHECKS != 0;
-}
 
 /// Collective algorithm selector (the bench compares them).
 enum class CollectiveAlgo {
@@ -308,8 +294,7 @@ class RankContext {
   void maybe_kill();
 
   /// Enforce the Threading contract: the caller must be the designated
-  /// comm thread (throws std::logic_error otherwise). Compiled to nothing
-  /// when PDC_MP_THREAD_CHECKS is off.
+  /// comm thread (throws std::logic_error otherwise).
   void check_comm_thread() const;
 
   /// Channel send/take: count the op, honor the kill schedule, then route

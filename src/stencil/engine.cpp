@@ -11,7 +11,9 @@ void validate(const Options& opt) {
     throw std::invalid_argument("stencil tile dimensions must be > 0");
   if (opt.max_steps < 0)
     throw std::invalid_argument("stencil max_steps must be >= 0");
-  if (opt.quiesce_eps < 0.0)
+  // Negated so NaN fails too: every `delta > NaN` is false, which would
+  // mark every tile quiescent and fake convergence.
+  if (!(opt.quiesce_eps >= 0.0))
     throw std::invalid_argument("stencil quiesce_eps must be >= 0");
   // A tile marked quiescent at eps > converge_eps could hide exactly the
   // residual the convergence check is looking for; forbid the combination

@@ -29,7 +29,14 @@ Vec4 abs4(Vec4 v) {
   return std::bit_cast<Vec4>(std::bit_cast<Bits4>(v) & 0x7fffffff);
 }
 
+/// The engine options for `o`; every heat entry point goes through here.
+/// Throws std::invalid_argument unless 0 < conductivity <= 1, the range on
+/// which the update is stable. Outside it the field goes non-finite (or,
+/// at 0, never moves), and since a NaN delta loses every max the run
+/// would still report "converged".
 Options engine_opts(const HeatOptions& o) {
+  if (!(o.conductivity > 0.0 && o.conductivity <= 1.0))
+    throw std::invalid_argument("heat conductivity must be in (0, 1]");
   Options e;
   e.tile_rows = o.tile_rows;
   e.tile_cols = o.tile_cols;
@@ -162,15 +169,6 @@ void HeatWorkload::unpack_halo(Field& f, bool above,
   const std::ptrdiff_t r =
       above ? -1 : static_cast<std::ptrdiff_t>(f.rows());
   std::memcpy(&f.at(r, 0), in, f.cols() * sizeof(float));
-}
-
-RunResult heat_relax(HeatField& field, const HeatOptions& opt) {
-  return heat_relax_plan(field, opt, ExecPlan{});
-}
-
-RunResult heat_relax_threaded(HeatField& field, const HeatOptions& opt,
-                              int threads) {
-  return heat_relax_plan(field, opt, ExecPlan{.threads_per_rank = threads});
 }
 
 RunResult heat_relax_strip(HeatField& strip, const HeatOptions& opt,

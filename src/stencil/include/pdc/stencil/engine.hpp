@@ -71,8 +71,8 @@ struct Options {
   int max_steps = 1;
   bool skip_quiescent = true;   ///< false: full sweep every step (A/B lever)
   /// A tile counts as changed when its step delta exceeds this. 0 = exact
-  /// (bit-identical to a full sweep). Must be <= converge_eps when
-  /// convergence is enabled.
+  /// (bit-identical to a full sweep). Must be >= 0 (so not NaN), and
+  /// <= converge_eps when convergence is enabled.
   double quiesce_eps = 0.0;
   /// Stop once a step's global max delta is <= this; negative disables
   /// (run exactly max_steps — Life's fixed-generation contract).

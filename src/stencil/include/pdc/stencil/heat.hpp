@@ -10,8 +10,7 @@
 // Life this is a float kernel with a *residual-based* dirty predicate: a
 // tile is quiescent once its step delta is <= quiesce_eps. With
 // quiesce_eps = 0 skipping is exact; either way the same options produce
-// the same iteration count and final residual on the sequential,
-// threaded, and message-passing engines.
+// the same iteration count and final residual on every ExecPlan.
 
 #include <cstddef>
 #include <cstdint>
@@ -62,7 +61,10 @@ class HeatField {
 };
 
 struct HeatOptions {
-  double conductivity = 0.2;  ///< k in next = cur + k*(avg4 - cur)
+  /// k in next = cur + k*(avg4 - cur), in (0, 1]: the update is a convex
+  /// blend of cur and avg4 exactly on that range, so it cannot diverge.
+  /// Every entry point throws std::invalid_argument outside it.
+  double conductivity = 0.2;
   int max_steps = 10000;
   double converge_eps = 1e-3;
   double quiesce_eps = 0.0;  ///< 0 = exact skipping
@@ -99,26 +101,21 @@ struct HeatWorkload {
   void finish_halo(Field&) const {}
 };
 
-/// Relax `field` in place until convergence (or max_steps); sequential
-/// (plan {1,1}).
-RunResult heat_relax(HeatField& field, const HeatOptions& opt);
-
-/// Same computation on the shared-memory engine (plan {1,threads}).
-RunResult heat_relax_threaded(HeatField& field, const HeatOptions& opt,
-                              int threads);
-
-/// Same computation on an arbitrary ExecPlan. One rank relaxes `field`
-/// locally; more run plan.ranks row strips as one in-process world
-/// (stencil::run_world) with plan.threads_per_rank threads relaxing every
-/// strip (shm/tcp worlds: mp::launch::run_spmd with heat_relax_strip
-/// inside each body). Rows are partitioned on tile boundaries so every
-/// plan's skip decisions — and therefore fields, steps, residuals, tile
-/// counts — are bit-identical.
+/// Relax `field` in place until convergence (or max_steps) on an
+/// ExecPlan — the entry point for every plan. One rank relaxes `field`
+/// locally on plan.threads_per_rank threads ({} is sequential,
+/// {.threads_per_rank = T} threaded); more run plan.ranks row strips as
+/// one in-process world (stencil::run_world) with plan.threads_per_rank
+/// threads relaxing every strip (shm/tcp worlds: mp::launch::run_spmd
+/// with heat_relax_strip inside each body). Rows are partitioned on tile
+/// boundaries so every plan's skip decisions — and therefore fields,
+/// steps, residuals, tile counts — are bit-identical.
 RunResult heat_relax_plan(HeatField& field, const HeatOptions& opt,
                           const ExecPlan& plan);
 
 /// Same computation on the message-passing engine: plan {ranks, 1},
-/// always in a world of its own, even for one rank.
+/// always in a world of its own — even for one rank, which
+/// heat_relax_plan runs locally without the world's allreduce.
 RunResult heat_relax_mp(HeatField& field, const HeatOptions& opt, int ranks);
 
 /// One rank's share of heat_relax_plan, callable from inside an existing

@@ -60,9 +60,9 @@ TEST(Patterns, BlinkerOscillatesWithPeriod2) {
   pl::Grid board(5, 5, pl::Boundary::kDead);
   pl::stamp(board, pl::blinker(), 2, 1);
   const pl::Grid start = board;
-  pl::run_sequential(board, 1);
+  pl::run_plan(board, 1, {});
   EXPECT_NE(board, start);  // vertical now
-  pl::run_sequential(board, 1);
+  pl::run_plan(board, 1, {});
   EXPECT_EQ(board, start);  // back to horizontal
 }
 
@@ -70,7 +70,7 @@ TEST(Patterns, BlockIsStill) {
   pl::Grid board(6, 6, pl::Boundary::kDead);
   pl::stamp(board, pl::block(), 2, 2);
   const pl::Grid start = board;
-  pl::run_sequential(board, 10);
+  pl::run_plan(board, 10, {});
   EXPECT_EQ(board, start);
 }
 
@@ -79,7 +79,7 @@ TEST(Patterns, GliderTranslatesByOneCellEvery4Generations) {
   pl::stamp(board, pl::glider(), 2, 2);
   pl::Grid moved(16, 16, pl::Boundary::kTorus);
   pl::stamp(moved, pl::glider(), 3, 3);  // one down-right
-  pl::run_sequential(board, 4);
+  pl::run_plan(board, 4, {});
   EXPECT_EQ(board, moved);
   EXPECT_EQ(board.population(), 5u);  // gliders preserve population
 }
@@ -88,7 +88,7 @@ TEST(Patterns, GliderWrapsAroundTorus) {
   pl::Grid board(8, 8, pl::Boundary::kTorus);
   pl::stamp(board, pl::glider(), 0, 0);
   const std::size_t pop = board.population();
-  pl::run_sequential(board, 8 * 4);  // full loop around the torus
+  pl::run_plan(board, 8 * 4, {});  // full loop around the torus
   EXPECT_EQ(board.population(), pop);
 }
 
@@ -126,8 +126,8 @@ TEST_P(EngineEquivalence, ThreadedMatchesSequential) {
   const auto [boundary, workers, gens] = GetParam();
   pl::Grid seq = pl::random_grid(33, 29, 0.35, 1234, boundary);
   pl::Grid thr = seq;
-  pl::run_sequential(seq, gens);
-  pl::run_threaded(thr, gens, workers);
+  pl::run_plan(seq, gens, {});
+  pl::run_plan(thr, gens, {.threads_per_rank = workers});
   EXPECT_EQ(seq, thr) << "boundary=" << static_cast<int>(boundary)
                       << " workers=" << workers << " gens=" << gens;
 }
@@ -136,7 +136,7 @@ TEST_P(EngineEquivalence, MessagePassingMatchesSequential) {
   const auto [boundary, workers, gens] = GetParam();
   pl::Grid seq = pl::random_grid(33, 29, 0.35, 1234, boundary);
   pl::Grid msg = seq;
-  pl::run_sequential(seq, gens);
+  pl::run_plan(seq, gens, {});
   pl::run_message_passing(msg, gens, workers);
   EXPECT_EQ(seq, msg) << "boundary=" << static_cast<int>(boundary)
                       << " workers=" << workers << " gens=" << gens;
@@ -151,8 +151,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Engines, ValidateArguments) {
   pl::Grid g(4, 4);
-  EXPECT_THROW(pl::run_sequential(g, -1), std::invalid_argument);
-  EXPECT_THROW(pl::run_threaded(g, 1, 0), std::invalid_argument);
+  EXPECT_THROW(pl::run_plan(g, -1, {}), std::invalid_argument);
+  EXPECT_THROW(pl::run_plan(g, 1, {.threads_per_rank = 0}),
+               std::invalid_argument);
   EXPECT_THROW(pl::run_message_passing(g, 1, 0), std::invalid_argument);
   EXPECT_THROW(pl::run_message_passing(g, 1, 10), std::invalid_argument);
 }
@@ -209,6 +210,20 @@ TEST(PackedGrid, RoundTripsThroughByteGridOnAwkwardShapes) {
     for (std::size_t r = 0; r < rows; ++r)
       for (std::size_t c = 0; c < cols; ++c)
         ASSERT_EQ(p.get(r, c), g.get(r, c));
+    if (rows < 2) continue;
+    // Rows [1, rows) at an offset, into a board that starts all alive: a
+    // load_rows that ORs without zeroing first would keep stale cells.
+    pl::PackedGrid strip(rows - 1, cols);
+    for (std::size_t r = 0; r < strip.rows(); ++r)
+      for (std::size_t c = 0; c < cols; ++c) strip.set(r, c, true);
+    strip.load_rows(g, 1);
+    pl::Grid back(rows, cols);
+    strip.store_rows(back, 1);
+    for (std::size_t c = 0; c < cols; ++c) ASSERT_FALSE(back.get(0, c));
+    for (std::size_t r = 1; r < rows; ++r)
+      for (std::size_t c = 0; c < cols; ++c)
+        ASSERT_EQ(back.get(r, c), g.get(r, c))
+            << rows << "x" << cols << " at (" << r << "," << c << ")";
   }
 }
 
@@ -223,6 +238,35 @@ TEST(PackedGrid, SetGetAndBounds) {
   EXPECT_THROW((void)p.get(3, 0), std::out_of_range);
   EXPECT_THROW(p.set(0, 70, true), std::out_of_range);
   EXPECT_THROW(pl::PackedGrid(0, 5), std::invalid_argument);
+
+  // load_rows/store_rows check the byte span before touching either
+  // side: a narrower grid would otherwise be read past its row ends.
+  p.set(1, 5, true);
+  const pl::PackedGrid p_before = p;
+  const pl::Grid narrow = pl::random_grid(3, 69, 0.5, 3);
+  const pl::Grid wide = pl::random_grid(3, 71, 0.5, 4);
+  const pl::Grid tall = pl::random_grid(5, 70, 0.5, 5);
+  EXPECT_THROW(p.load_rows(narrow, 0), std::invalid_argument);
+  EXPECT_THROW(p.load_rows(wide, 0), std::invalid_argument);
+  EXPECT_THROW(p.load_rows(tall, 3), std::invalid_argument);  // rows 3..5
+  EXPECT_THROW(p.load_rows(tall, 6), std::invalid_argument);
+  EXPECT_TRUE(p == p_before);
+  const auto store_throws = [&](const pl::Grid& target, std::size_t first) {
+    pl::Grid out = target;
+    EXPECT_THROW(p.store_rows(out, first), std::invalid_argument);
+    EXPECT_EQ(out, target);
+  };
+  store_throws(narrow, 0);
+  store_throws(wide, 0);
+  store_throws(tall, 3);
+  store_throws(tall, 6);
+  // The largest legal offset works both ways.
+  p.load_rows(tall, 2);
+  pl::Grid out(5, 70);
+  p.store_rows(out, 2);
+  for (std::size_t r = 2; r < 5; ++r)
+    for (std::size_t c = 0; c < 70; ++c)
+      ASSERT_EQ(out.get(r, c), tall.get(r, c));
 }
 
 TEST(PackedGrid, EqualityIgnoresGhostAndPaddingBits) {
@@ -255,11 +299,11 @@ TEST_P(PackedEquivalence, AllEnginesMatchByteReference) {
   pl::run_reference(ref, gens);
 
   pl::Grid seq = start;
-  pl::run_sequential(seq, gens);
+  pl::run_plan(seq, gens, {});
   EXPECT_EQ(ref, seq) << "sequential " << rows << "x" << cols;
 
   pl::Grid thr = start;
-  pl::run_threaded(thr, gens, 3);
+  pl::run_plan(thr, gens, {.threads_per_rank = 3});
   EXPECT_EQ(ref, thr) << "threaded " << rows << "x" << cols;
 
   pl::Grid msg = start;

@@ -536,7 +536,7 @@ TEST_F(Trace, RankLabelsAreStableAcrossRuns) {
 TEST_F(Trace, CapturesSpansFromThreeLayers) {
   obs::set_tracing_enabled(true);
   auto board = pdc::life::random_grid(64, 64, 0.3, 11);
-  pdc::life::run_threaded(board, 4, 2);
+  pdc::life::run_plan(board, 4, {.threads_per_rank = 2});
   pdc::life::run_message_passing(board, 4, 2);
   obs::set_tracing_enabled(false);
 

@@ -148,12 +148,17 @@ TEST(StencilOptions, ValidatesQuiesceAgainstConvergence) {
   ps::HeatOptions opt;
   opt.converge_eps = 1e-4;
   opt.quiesce_eps = 1e-3;  // would hide exactly the residual we wait for
-  EXPECT_THROW(ps::heat_relax(f, opt), std::invalid_argument);
+  EXPECT_THROW(ps::heat_relax_plan(f, opt, {}), std::invalid_argument);
   opt.quiesce_eps = -1.0;
-  EXPECT_THROW(ps::heat_relax(f, opt), std::invalid_argument);
+  EXPECT_THROW(ps::heat_relax_plan(f, opt, {}), std::invalid_argument);
+  // NaN passes both `< 0` and `> converge_eps`, and every `delta > NaN`
+  // is false: every tile would be quiet and the run would fake
+  // convergence.
+  opt.quiesce_eps = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(ps::heat_relax_plan(f, opt, {}), std::invalid_argument);
   opt.quiesce_eps = 0.0;
   opt.tile_rows = 0;
-  EXPECT_THROW(ps::heat_relax(f, opt), std::invalid_argument);
+  EXPECT_THROW(ps::heat_relax_plan(f, opt, {}), std::invalid_argument);
 }
 
 // --------------------------------------- Life on the stencil engine ------
@@ -182,16 +187,16 @@ TEST_P(LifeSkipEquivalence, SkippingIsBitIdenticalAcrossEngines) {
     pl::run_reference(oracle, gens);
 
     pl::Grid full = start;
-    const auto full_res = pl::run_sequential(full, gens, skip_off);
+    const auto full_res = pl::run_plan(full, gens, {}, skip_off);
     EXPECT_EQ(full, oracle);
     EXPECT_EQ(full_res.tiles_skipped, 0u);
 
     pl::Grid skip = start;
-    pl::run_sequential(skip, gens, skip_on);
+    pl::run_plan(skip, gens, {}, skip_on);
     EXPECT_EQ(skip, oracle) << rows << "x" << cols;
 
     pl::Grid thr = start;
-    pl::run_threaded(thr, gens, 3, skip_on);
+    pl::run_plan(thr, gens, {.threads_per_rank = 3}, skip_on);
     EXPECT_EQ(thr, oracle) << rows << "x" << cols;
 
     if (rows >= 2) {
@@ -220,9 +225,9 @@ TEST(LifeStencil, SparseBoardActuallySkipsAndStaysExact) {
   opt.tile_rows = 8;
   opt.tile_words = 1;
   pl::Grid skip = board, full = board;
-  const auto skip_res = pl::run_sequential(skip, 12, opt);
+  const auto skip_res = pl::run_plan(skip, 12, {}, opt);
   opt.skip_quiescent = false;
-  const auto full_res = pl::run_sequential(full, 12, opt);
+  const auto full_res = pl::run_plan(full, 12, {}, opt);
 
   EXPECT_EQ(skip, full);
   EXPECT_EQ(full_res.tiles_skipped, 0u);
@@ -262,7 +267,7 @@ TEST(Heat, SequentialConvergesAndHeatFlowsDownward) {
   ps::HeatField f = hot_top(32, 32);
   ps::HeatOptions opt;
   opt.converge_eps = 1e-3;
-  const ps::RunResult res = ps::heat_relax(f, opt);
+  const ps::RunResult res = ps::heat_relax_plan(f, opt, {});
   EXPECT_TRUE(res.converged);
   EXPECT_GT(res.steps, 1u);
   EXPECT_LE(res.last_delta, 1e-3);
@@ -401,11 +406,12 @@ TEST_P(HeatEngineIdentity, AllEnginesAgreeOnStepsResidualAndField) {
   opt.tile_cols = 32;
 
   ps::HeatField seq = hot_top(64, 96);
-  const ps::RunResult rs = ps::heat_relax(seq, opt);
+  const ps::RunResult rs = ps::heat_relax_plan(seq, opt, {});
   EXPECT_TRUE(rs.converged);
 
   ps::HeatField thr = hot_top(64, 96);
-  const ps::RunResult rt = ps::heat_relax_threaded(thr, opt, 4);
+  const ps::RunResult rt =
+      ps::heat_relax_plan(thr, opt, {.threads_per_rank = 4});
   EXPECT_EQ(rt.steps, rs.steps);
   EXPECT_EQ(rt.last_delta, rs.last_delta);
   EXPECT_EQ(rt.tiles_computed, rs.tiles_computed);
@@ -430,10 +436,10 @@ TEST(Heat, SkippingExactPredicateMatchesFullSweep) {
   opt.tile_rows = 8;
   opt.tile_cols = 16;
   ps::HeatField skip = hot_top(48, 64);
-  const ps::RunResult rs = ps::heat_relax(skip, opt);
+  const ps::RunResult rs = ps::heat_relax_plan(skip, opt, {});
   opt.skip_quiescent = false;
   ps::HeatField full = hot_top(48, 64);
-  const ps::RunResult rf = ps::heat_relax(full, opt);
+  const ps::RunResult rf = ps::heat_relax_plan(full, opt, {});
   EXPECT_TRUE(skip == full);
   EXPECT_EQ(rs.steps, rf.steps);
   EXPECT_EQ(rs.last_delta, rf.last_delta);
@@ -445,10 +451,10 @@ TEST(Heat, ResidualPredicateStaysCloseToExact) {
   ps::HeatOptions opt;
   opt.converge_eps = 1e-3;
   ps::HeatField exact = hot_top(48, 48);
-  ps::heat_relax(exact, opt);
+  ps::heat_relax_plan(exact, opt, {});
   opt.quiesce_eps = 1e-4;  // aggressive sleeping, bounded deviation
   ps::HeatField lazy = hot_top(48, 48);
-  const ps::RunResult res = ps::heat_relax(lazy, opt);
+  const ps::RunResult res = ps::heat_relax_plan(lazy, opt, {});
   EXPECT_TRUE(res.converged);
   EXPECT_LT(exact.max_abs_diff(lazy), 0.05);
 }
@@ -486,7 +492,7 @@ TEST(TileStealing, LifeGridsBitIdenticalAndTileCountsExact1To8Threads) {
   opt.tile_words = 1;
 
   pl::Grid seq_g = board;
-  const auto seq = pl::run_sequential(seq_g, gens, opt);
+  const auto seq = pl::run_plan(seq_g, gens, {}, opt);
 
   for (int threads = 1; threads <= 8; ++threads) {
     for (const bool steal : {false, true}) {
@@ -512,7 +518,7 @@ TEST(TileStealing, HeatStealingMatchesSequentialExactly1To8Threads) {
   opt.tile_cols = 32;
 
   ps::HeatField seq = hot_top(64, 96);
-  const ps::RunResult rs = ps::heat_relax(seq, opt);
+  const ps::RunResult rs = ps::heat_relax_plan(seq, opt, {});
   EXPECT_TRUE(rs.converged);
 
   for (int threads = 1; threads <= 8; ++threads) {
@@ -533,39 +539,16 @@ TEST(TileStealing, HeatStealingMatchesSequentialExactly1To8Threads) {
 
 // ------------------------------------------------- hybrid ExecPlan ------
 
-// The single-entry-point contract: the curriculum-named entry points are
-// one-line aliases of run_plan on the corresponding plan — same grids,
-// same accounting, same wire words, byte for byte.
-TEST(HybridPlan, CompatWrappersMatchPlanEntryPoints) {
+// run_message_passing is plan {R,1} through the world path: for R > 1 it
+// is run_plan on {R,1} — same grids, same accounting, same wire words,
+// byte for byte. (For one rank they differ on purpose: run_plan stays
+// local, run_message_passing still launches a world.)
+TEST(HybridPlan, MessagePassingMatchesTwoRankPlan) {
   const pl::Grid start = pl::random_grid(48, 96, 0.3, 11);
   pl::EngineOptions opt;
   opt.tile_rows = 8;
   opt.tile_words = 1;
   const int gens = 6;
-
-  const auto expect_same = [](const ps::RunResult& a, const ps::RunResult& b,
-                              const pl::Grid& ga, const pl::Grid& gb,
-                              const char* what) {
-    EXPECT_EQ(ga, gb) << what;
-    EXPECT_EQ(a.steps, b.steps) << what;
-    EXPECT_EQ(a.tiles_computed, b.tiles_computed) << what;
-    EXPECT_EQ(a.tiles_skipped, b.tiles_skipped) << what;
-    EXPECT_EQ(a.halo_words, b.halo_words) << what;
-  };
-
-  pl::Grid seq = start;
-  const auto seq_res = pl::run_sequential(seq, gens, opt);
-  pl::Grid p11 = start;
-  const auto p11_res = pl::run_plan(p11, gens, ps::ExecPlan{}, opt);
-  expect_same(seq_res, p11_res, seq, p11, "{1,1} vs run_sequential");
-  EXPECT_EQ(p11_res.halo_words, 0u);
-
-  pl::Grid thr = start;
-  const auto thr_res = pl::run_threaded(thr, gens, 3, opt);
-  pl::Grid p13 = start;
-  const auto p13_res =
-      pl::run_plan(p13, gens, ps::ExecPlan{.threads_per_rank = 3}, opt);
-  expect_same(thr_res, p13_res, thr, p13, "{1,3} vs run_threaded");
 
   pl::Grid msg = start;
   std::uint64_t msg_msgs = 0, msg_words = 0;
@@ -575,7 +558,11 @@ TEST(HybridPlan, CompatWrappersMatchPlanEntryPoints) {
   std::uint64_t plan_msgs = 0, plan_words = 0;
   const auto p21_res = pl::run_plan(p21, gens, ps::ExecPlan{.ranks = 2}, opt,
                                     &plan_msgs, &plan_words);
-  expect_same(msg_res, p21_res, msg, p21, "{2,1} vs run_message_passing");
+  EXPECT_EQ(msg, p21);
+  EXPECT_EQ(msg_res.steps, p21_res.steps);
+  EXPECT_EQ(msg_res.tiles_computed, p21_res.tiles_computed);
+  EXPECT_EQ(msg_res.tiles_skipped, p21_res.tiles_skipped);
+  EXPECT_EQ(msg_res.halo_words, p21_res.halo_words);
   EXPECT_EQ(msg_msgs, plan_msgs);
   EXPECT_EQ(msg_words, plan_words);
 }
@@ -596,7 +583,7 @@ TEST(HybridPlan, LifeBitIdenticalToSeqOracleAcrossPlanMatrix) {
     const pl::Grid start =
         pl::random_grid(rows, cols, 0.3, 77, pl::Boundary::kTorus);
     pl::Grid seq_g = start;
-    const auto seq = pl::run_sequential(seq_g, gens, opt);
+    const auto seq = pl::run_plan(seq_g, gens, {}, opt);
 
     for (const int ranks : {1, 2, 4}) {
       if (static_cast<std::size_t>(ranks) > rows) continue;
@@ -645,7 +632,7 @@ TEST(HybridPlan, HeatBitIdenticalToSeqOracleAcrossPlanMatrix) {
                                                              {33, 17}};
   for (const auto& [rows, cols] : kFields) {
     ps::HeatField seq = hot_top(rows, cols);
-    const ps::RunResult rs = ps::heat_relax(seq, opt);
+    const ps::RunResult rs = ps::heat_relax_plan(seq, opt, {});
     EXPECT_TRUE(rs.converged);
 
     for (const int ranks : {1, 2, 4}) {
@@ -701,7 +688,7 @@ TEST(HybridPlan, LifeLastDeltaIsTheMaxOverRanks) {
   pl::stamp(start, pl::blinker(pl::Boundary::kDead), 41, 10);
   const int gens = 3;
   pl::Grid seq = start;
-  const ps::RunResult rs = pl::run_sequential(seq, gens);
+  const ps::RunResult rs = pl::run_plan(seq, gens, {});
   ASSERT_EQ(rs.last_delta, 1.0);
   for (const int threads : {1, 2}) {
     const ps::ExecPlan plan{.ranks = 2, .threads_per_rank = threads};
@@ -794,8 +781,6 @@ TEST(HybridPlan, HaloReceiveLiesInsideTheStepSpan) {
 // designated one is a deterministic std::logic_error, not a silent
 // mailbox race.
 TEST(MpThreading, FunneledModeRejectsCommFromForeignThreads) {
-  if (!mp::thread_checks_enabled())
-    GTEST_SKIP() << "thread checks compiled out (NDEBUG build)";
   mp::Communicator comm(2);
   comm.run([](mp::RankContext& ctx) {
     if (ctx.rank() == 0) {
@@ -839,7 +824,28 @@ TEST(Heat, ValidatesArguments) {
   EXPECT_TRUE(g == ps::HeatField(16, 16));  // rejected before any write
   ps::HeatField f = hot_top(8, 8);
   ps::HeatOptions opt;
-  EXPECT_THROW(ps::heat_relax_threaded(f, opt, 0), std::invalid_argument);
+  EXPECT_THROW(ps::heat_relax_plan(f, opt, {.threads_per_rank = 0}),
+               std::invalid_argument);
   EXPECT_THROW(ps::heat_relax_mp(f, opt, 0), std::invalid_argument);
   EXPECT_THROW(ps::heat_relax_mp(f, opt, 9), std::invalid_argument);
+  // The update is stable only for 0 < k <= 1; outside it every plan
+  // relaxed to non-finite cells (or, at k = 0, not at all) and still
+  // reported "converged". Rejected on every entry point, before any
+  // write.
+  const ps::HeatField before = f;
+  for (const double k : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(), 3.0, 1.5,
+                         -0.5, 0.0}) {
+    opt.conductivity = k;
+    EXPECT_THROW(ps::heat_relax_plan(f, opt, {}), std::invalid_argument)
+        << "k=" << k;
+    EXPECT_THROW(ps::heat_relax_plan(f, opt, {.ranks = 2}),
+                 std::invalid_argument)
+        << "k=" << k;
+    EXPECT_THROW(ps::heat_relax_mp(f, opt, 1), std::invalid_argument)
+        << "k=" << k;
+  }
+  EXPECT_TRUE(f == before);
+  opt.conductivity = 1.0;  // the closed end of the range is legal
+  EXPECT_NO_THROW(ps::heat_relax_plan(f, opt, {}));
 }
