@@ -1,15 +1,30 @@
 #include "pdc/life/grid.hpp"
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
 namespace pdc::life {
 
-Grid::Grid(std::size_t rows, std::size_t cols, Boundary boundary)
-    : rows_(rows), cols_(cols), boundary_(boundary), cells_(rows * cols, 0) {
-  if (rows_ == 0 || cols_ == 0)
+namespace {
+
+/// rows * cols; throws std::invalid_argument on a zero dimension or a
+/// product that does not fit in size_t.
+std::size_t cell_count(std::size_t rows, std::size_t cols) {
+  if (rows == 0 || cols == 0)
     throw std::invalid_argument("grid dimensions must be > 0");
+  if (rows > std::numeric_limits<std::size_t>::max() / cols)
+    throw std::invalid_argument("grid dimensions overflow size_t");
+  return rows * cols;
 }
+
+}  // namespace
+
+Grid::Grid(std::size_t rows, std::size_t cols, Boundary boundary)
+    : rows_(rows),
+      cols_(cols),
+      boundary_(boundary),
+      cells_(cell_count(rows, cols), 0) {}
 
 bool Grid::get(std::size_t r, std::size_t c) const {
   if (r >= rows_ || c >= cols_) throw std::out_of_range("grid index");

@@ -18,6 +18,8 @@ enum class Boundary {
 
 class Grid {
  public:
+  /// Throws std::invalid_argument, before allocating, on a zero dimension
+  /// or a cell count, rows x cols, that does not fit in size_t.
   Grid(std::size_t rows, std::size_t cols,
        Boundary boundary = Boundary::kTorus);
 
@@ -42,7 +44,10 @@ class Grid {
 
   bool operator==(const Grid&) const = default;
 
-  /// Raw row access for the engines (row-major, 1 byte per cell).
+  /// Raw row access for the engines (row-major, 1 byte per cell). A cell
+  /// byte is 0 (dead) or 1 (alive), and a writer must store nothing else:
+  /// get() and population() read the whole byte, while PackedGrid packs
+  /// only its bit 0.
   [[nodiscard]] const std::uint8_t* row_data(std::size_t r) const;
   [[nodiscard]] std::uint8_t* row_data(std::size_t r);
 

@@ -21,11 +21,17 @@
 //   * the halo rows are whole-row copies of the opposite edge rows (torus)
 //     or stay all-zero (dead).
 //
-// The per-generation kernel (`step_row_words`) counts the 8 neighbors of
-// all 64 cells of a word at once with a SWAR carry-save adder tree: bitwise
+// The per-generation kernel (behind step_tile_into) counts the 8 neighbors
+// of 64 cells per word at once with a SWAR carry-save adder tree: bitwise
 // half/full adders compress the 8 shifted neighbor planes into a 4-bit
 // count per bit lane, and B3/S23 becomes four boolean ops — no per-cell
-// loads, branches, or modulo.
+// loads, branches, or modulo. It steps two words per 128-bit vector (SSE2,
+// the x86-64 baseline), and an odd last word of a span through the same
+// adder tree on a plain uint64_t.
+//
+// Conversion at the boundaries moves 8 cells per multiply: load_rows
+// gathers bit 0 of 8 cell bytes into one byte, store_rows spreads a byte
+// back into 8 cell bytes of 0 or 1.
 
 #include <cstddef>
 #include <cstdint>
@@ -37,6 +43,9 @@ namespace pdc::life {
 
 class PackedGrid {
  public:
+  /// Throws std::invalid_argument, before allocating, on a zero dimension
+  /// or a board whose padded bit count, (rows + 2) x (words_per_row() + 2)
+  /// x 64, does not fit in size_t.
   PackedGrid(std::size_t rows, std::size_t cols,
              Boundary boundary = Boundary::kTorus);
   /// Pack a byte grid (same dimensions and boundary rule).
@@ -46,12 +55,13 @@ class PackedGrid {
   [[nodiscard]] Grid unpack() const;
 
   /// Pack rows [first, first + rows()) of `grid` into this board's rows,
-  /// zeroing each row's payload words first. Ghost bits need a re-sync
+  /// overwriting their payload words whole: a cell is bit 0 of its byte,
+  /// and the padding bits come out 0. Ghost bits need a re-sync
   /// afterwards. Throws std::invalid_argument, touching nothing, if the
   /// column counts differ or the rows run past the end of `grid`.
   void load_rows(const Grid& grid, std::size_t first);
-  /// Unpack this board's rows into rows [first, first + rows()) of `grid`;
-  /// throws like load_rows.
+  /// Unpack this board's rows into rows [first, first + rows()) of `grid`,
+  /// each cell as a byte of 0 or 1; throws like load_rows.
   void store_rows(Grid& grid, std::size_t first) const;
 
   [[nodiscard]] std::size_t rows() const { return rows_; }
@@ -106,15 +116,6 @@ class PackedGrid {
   bool step_tile_into(PackedGrid& dst, std::size_t row_begin,
                       std::size_t row_end, std::size_t word_begin,
                       std::size_t word_end) const;
-
-  /// The SWAR kernel for one span of `nwords` words: `up`/`mid`/`down`
-  /// point at the same word offset of three consecutive padded rows (their
-  /// [-1] and [nwords] neighbors must be readable), `out` receives the next
-  /// generation of the mid row. `tail_mask` is AND-ed into the final word
-  /// written (pass ~0 for spans that do not end a row).
-  static void step_row_words(const std::uint64_t* up, const std::uint64_t* mid,
-                             const std::uint64_t* down, std::uint64_t* out,
-                             std::size_t nwords, std::uint64_t tail_mask);
 
   /// Cell-wise equality (dimensions, boundary, and live cells).
   [[nodiscard]] bool operator==(const PackedGrid& other) const;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
+#include <limits>
 #include <stdexcept>
 
 namespace pdc::life {
@@ -14,19 +16,130 @@ constexpr std::size_t kBits = 64;
 /// 1 destination row per tile, 4 x 512 x 8 B = 16 KiB — comfortably L1.
 constexpr std::size_t kTileWords = 512;
 
-/// s = a + b (bit), c = carry.
-inline void half_add(std::uint64_t a, std::uint64_t b, std::uint64_t& s,
-                     std::uint64_t& c) {
+/// Two 64-cell words in a portable GCC/Clang vector: lane-wise bit ops and
+/// shifts, compiled to baseline SSE2 on x86-64.
+typedef std::uint64_t Word2 __attribute__((vector_size(16)));
+
+/// s = a + b (bit), c = carry; W is std::uint64_t or Word2.
+template <class W>
+void half_add(W a, W b, W& s, W& c) {
   s = a ^ b;
   c = a & b;
 }
 
 /// s = a + b + cin (bit), c = carry.
-inline void full_add(std::uint64_t a, std::uint64_t b, std::uint64_t cin,
-                     std::uint64_t& s, std::uint64_t& c) {
-  const std::uint64_t t = a ^ b;
+template <class W>
+void full_add(W a, W b, W cin, W& s, W& c) {
+  const W t = a ^ b;
   s = t ^ cin;
   c = (a & b) | (cin & t);
+}
+
+template <class W>
+W load(const std::uint64_t* p) {
+  W v{};
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+/// The next generation of the sizeof(W) / 8 words at `mid`, whose rows
+/// above and below start at `up` and `down`; each row's [-1] word and the
+/// word past the span must be readable.
+template <class W>
+W next_words(const std::uint64_t* up, const std::uint64_t* mid,
+             const std::uint64_t* down) {
+  const W u = load<W>(up), m = load<W>(mid), d = load<W>(down);
+  // The 8 neighbor planes: each row shifted toward west (cell c-1 lands
+  // in lane c) and east, with the cross-word bit from the adjacent word
+  // (or halo word / ghost bit at the row ends).
+  const W uw = (u << 1) | (load<W>(up - 1) >> (kBits - 1));
+  const W ue = (u >> 1) | (load<W>(up + 1) << (kBits - 1));
+  const W mw = (m << 1) | (load<W>(mid - 1) >> (kBits - 1));
+  const W me = (m >> 1) | (load<W>(mid + 1) << (kBits - 1));
+  const W dw = (d << 1) | (load<W>(down - 1) >> (kBits - 1));
+  const W de = (d >> 1) | (load<W>(down + 1) << (kBits - 1));
+
+  // Carry-save adder tree: 8 one-bit inputs -> 4-bit count per lane.
+  W s0, c0, s1, c1, s2, c2;
+  full_add(uw, u, ue, s0, c0);
+  full_add(dw, d, de, s1, c1);
+  half_add(mw, me, s2, c2);
+  W n0, carry2;
+  full_add(s0, s1, s2, n0, carry2);  // ones
+  W t2, c4a, n1, c4b;
+  full_add(c0, c1, c2, t2, c4a);     // twos
+  half_add(t2, carry2, n1, c4b);
+  W n2, n3;
+  half_add(c4a, c4b, n2, n3);        // fours, eights
+
+  // B3/S23: count==3 always lives, count==2 lives iff already alive.
+  return n1 & ~n2 & ~n3 & (n0 | m);
+}
+
+/// The SWAR kernel for one span of `nwords` words: `up`/`mid`/`down`
+/// point at the same word offset of three consecutive padded rows (their
+/// [-1] and [nwords] neighbors must be readable), `out` receives the next
+/// generation of the mid row, two words per vector and an odd last word
+/// on its own. `tail_mask` is AND-ed into the final word written (pass ~0
+/// for spans that do not end a row).
+void step_row_words(const std::uint64_t* up, const std::uint64_t* mid,
+                    const std::uint64_t* down, std::uint64_t* out,
+                    std::size_t nwords, std::uint64_t tail_mask) {
+  std::size_t w = 0;
+  for (; w + 2 <= nwords; w += 2) {
+    const Word2 next = next_words<Word2>(up + w, mid + w, down + w);
+    std::memcpy(out + w, &next, sizeof next);
+  }
+  if (w < nwords)
+    out[w] = next_words<std::uint64_t>(up + w, mid + w, down + w);
+  out[nwords - 1] &= tail_mask;
+}
+
+/// The 8-byte loads and stores below read cell i from byte i.
+std::uint64_t to_little_endian(std::uint64_t v) {
+  if constexpr (std::endian::native == std::endian::big)
+    return __builtin_bswap64(v);
+  return v;
+}
+
+/// Bit 0 of each of the 8 cell bytes at `cells`, as bits 0-7: the mask
+/// leaves one 0/1 per byte, and the multiply sums every byte into the top
+/// byte at its own bit (no two partial products share a bit, so nothing
+/// carries).
+std::uint64_t pack8(const std::uint8_t* cells) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, cells, sizeof v);
+  v = to_little_endian(v) & 0x0101010101010101u;
+  return (v * 0x0102040810204080u) >> 56;
+}
+
+/// The inverse: bit i of `bits` into cell byte i as 0 or 1. The multiply
+/// copies the byte into all 8 bytes, the mask keeps bit i in byte i, and
+/// adding 0x7f carries it into that byte's top bit.
+void unpack8(std::uint64_t bits, std::uint8_t* cells) {
+  std::uint64_t v = (bits * 0x0101010101010101u) & 0x8040201008040201u;
+  v = ((v + 0x7f7f7f7f7f7f7f7fu) >> 7) & 0x0101010101010101u;
+  v = to_little_endian(v);
+  std::memcpy(cells, &v, sizeof v);
+}
+
+/// Payload words per row, ceil(cols / 64), without the wrap of cols + 63.
+std::size_t payload_words(std::size_t cols) {
+  return cols / kBits + (cols % kBits != 0);
+}
+
+/// Words in the padded buffer, (rows + 2) x (words + 2). Throws
+/// std::invalid_argument, before anything is allocated, on a zero
+/// dimension or a board whose padded bit count does not fit in size_t.
+std::size_t padded_size(std::size_t rows, std::size_t cols) {
+  if (rows == 0 || cols == 0)
+    throw std::invalid_argument("grid dimensions must be > 0");
+  constexpr std::size_t kMaxWords =
+      std::numeric_limits<std::size_t>::max() / kBits;
+  const std::size_t stride = payload_words(cols) + 2;
+  if (rows > kMaxWords - 2 || rows + 2 > kMaxWords / stride)
+    throw std::invalid_argument("grid dimensions overflow size_t");
+  return (rows + 2) * stride;
 }
 
 /// The byte rows load_rows/store_rows touch: rows [first, first + rows)
@@ -44,14 +157,11 @@ void check_span(const Grid& grid, std::size_t first, std::size_t rows,
 PackedGrid::PackedGrid(std::size_t rows, std::size_t cols, Boundary boundary)
     : rows_(rows),
       cols_(cols),
-      words_((cols + kBits - 1) / kBits),
+      words_(payload_words(cols)),
       boundary_(boundary),
       tail_mask_(cols % kBits == 0 ? ~std::uint64_t{0}
                                    : (std::uint64_t{1} << (cols % kBits)) - 1),
-      data_((rows + 2) * (words_ + 2), 0) {
-  if (rows_ == 0 || cols_ == 0)
-    throw std::invalid_argument("grid dimensions must be > 0");
-}
+      data_(padded_size(rows, cols), 0) {}
 
 PackedGrid::PackedGrid(const Grid& grid)
     : PackedGrid(grid.rows(), grid.cols(), grid.boundary()) {
@@ -64,28 +174,42 @@ Grid PackedGrid::unpack() const {
   return out;
 }
 
-// Both loops bound by a local `cols`: the compiler must assume the stores
-// through `dst` may alias cols_ and would reload it for every cell.
+// Each word is built (or split) in a register, 8 cells per multiply, with
+// a per-cell loop for the last cols % 8; whole-word stores leave the
+// padding bits 0. Both loops bound by locals: the compiler must assume the
+// stores through `dst` may alias cols_ and words_ and would reload them.
 void PackedGrid::load_rows(const Grid& grid, std::size_t first) {
   check_span(grid, first, rows_, cols_);
-  const std::size_t cols = cols_;
+  const std::size_t cols = cols_, words = words_;
   for (std::size_t r = 0; r < rows_; ++r) {
     const std::uint8_t* src = grid.row_data(first + r);
     std::uint64_t* dst = row_words(r);
-    std::fill_n(dst, words_, std::uint64_t{0});
-    for (std::size_t c = 0; c < cols; ++c)
-      dst[c / kBits] |= static_cast<std::uint64_t>(src[c] & 1) << (c % kBits);
+    for (std::size_t w = 0; w < words; ++w) {
+      const std::uint8_t* cells = src + w * kBits;
+      const std::size_t n = std::min(kBits, cols - w * kBits);
+      std::uint64_t word = 0;
+      std::size_t i = 0;
+      for (; i + 8 <= n; i += 8) word |= pack8(cells + i) << i;
+      for (; i < n; ++i) word |= std::uint64_t{cells[i] & 1u} << i;
+      dst[w] = word;
+    }
   }
 }
 
 void PackedGrid::store_rows(Grid& grid, std::size_t first) const {
   check_span(grid, first, rows_, cols_);
-  const std::size_t cols = cols_;
+  const std::size_t cols = cols_, words = words_;
   for (std::size_t r = 0; r < rows_; ++r) {
     const std::uint64_t* src = row_words(r);
     std::uint8_t* dst = grid.row_data(first + r);
-    for (std::size_t c = 0; c < cols; ++c)
-      dst[c] = static_cast<std::uint8_t>((src[c / kBits] >> (c % kBits)) & 1);
+    for (std::size_t w = 0; w < words; ++w) {
+      std::uint8_t* cells = dst + w * kBits;
+      const std::size_t n = std::min(kBits, cols - w * kBits);
+      const std::uint64_t word = src[w];
+      std::size_t i = 0;
+      for (; i + 8 <= n; i += 8) unpack8((word >> i) & 0xffu, cells + i);
+      for (; i < n; ++i) cells[i] = static_cast<std::uint8_t>((word >> i) & 1);
+    }
   }
 }
 
@@ -161,41 +285,6 @@ void PackedGrid::sync_halo_rows() {
   // Whole padded rows (halo words and ghost bits included).
   std::copy_n(padded_row(rows_) - 1, stride(), padded_row(0) - 1);
   std::copy_n(padded_row(1) - 1, stride(), padded_row(rows_ + 1) - 1);
-}
-
-void PackedGrid::step_row_words(const std::uint64_t* up,
-                                const std::uint64_t* mid,
-                                const std::uint64_t* down, std::uint64_t* out,
-                                std::size_t nwords, std::uint64_t tail_mask) {
-  for (std::size_t w = 0; w < nwords; ++w) {
-    const std::uint64_t u = up[w], m = mid[w], d = down[w];
-    // The 8 neighbor planes: each row shifted toward west (cell c-1 lands
-    // in lane c) and east, with the cross-word bit from the adjacent word
-    // (or halo word / ghost bit at the row ends).
-    const std::uint64_t uw = (u << 1) | (up[w - 1] >> (kBits - 1));
-    const std::uint64_t ue = (u >> 1) | (up[w + 1] << (kBits - 1));
-    const std::uint64_t mw = (m << 1) | (mid[w - 1] >> (kBits - 1));
-    const std::uint64_t me = (m >> 1) | (mid[w + 1] << (kBits - 1));
-    const std::uint64_t dw = (d << 1) | (down[w - 1] >> (kBits - 1));
-    const std::uint64_t de = (d >> 1) | (down[w + 1] << (kBits - 1));
-
-    // Carry-save adder tree: 8 one-bit inputs -> 4-bit count per lane.
-    std::uint64_t s0, c0, s1, c1, s2, c2;
-    full_add(uw, u, ue, s0, c0);
-    full_add(dw, d, de, s1, c1);
-    half_add(mw, me, s2, c2);
-    std::uint64_t n0, carry2;
-    full_add(s0, s1, s2, n0, carry2);  // ones
-    std::uint64_t t2, c4a, n1, c4b;
-    full_add(c0, c1, c2, t2, c4a);     // twos
-    half_add(t2, carry2, n1, c4b);
-    std::uint64_t n2, n3;
-    half_add(c4a, c4b, n2, n3);        // fours, eights
-
-    // B3/S23: count==3 always lives, count==2 lives iff already alive.
-    out[w] = n1 & ~n2 & ~n3 & (n0 | m);
-  }
-  out[nwords - 1] &= tail_mask;
 }
 
 bool PackedGrid::step_tile_into(PackedGrid& dst, std::size_t row_begin,

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 namespace pdc::stencil {
@@ -81,6 +82,9 @@ HeatField::HeatField(std::size_t rows, std::size_t cols, float initial)
     : rows_(rows), cols_(cols) {
   if (rows == 0 || cols == 0)
     throw std::invalid_argument("heat field dimensions must be > 0");
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  if (rows > kMax - 2 || cols > kMax - 2 || rows + 2 > kMax / (cols + 2))
+    throw std::invalid_argument("heat field dimensions overflow size_t");
   if (!std::isfinite(initial))
     throw std::invalid_argument("heat field initial value must be finite");
   data_.assign((rows_ + 2) * (cols_ + 2), initial);

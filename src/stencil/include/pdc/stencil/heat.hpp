@@ -25,8 +25,9 @@ namespace pdc::stencil {
 /// rows for strip (message-passing) execution.
 class HeatField {
  public:
-  /// Throws std::invalid_argument on a zero dimension or a non-finite
-  /// `initial`.
+  /// Throws std::invalid_argument, before allocating, on a zero dimension,
+  /// a padded cell count, (rows + 2) x (cols + 2), that does not fit in
+  /// size_t, or a non-finite `initial`.
   HeatField(std::size_t rows, std::size_t cols, float initial = 0.0f);
 
   [[nodiscard]] std::size_t rows() const { return rows_; }

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <tuple>
 #include <utility>
 
@@ -24,6 +26,9 @@ TEST(Grid, ConstructionAndBounds) {
   EXPECT_THROW((void)g.get(4, 0), std::out_of_range);
   EXPECT_THROW(g.set(0, 6, true), std::out_of_range);
   EXPECT_THROW(pl::Grid(0, 5), std::invalid_argument);
+  // 2^32 x 2^32 cells wrap to a 0-byte board; rejected before allocating.
+  EXPECT_THROW(pl::Grid(std::size_t{1} << 32, std::size_t{1} << 32),
+               std::invalid_argument);
 }
 
 TEST(Grid, NeighborCountBounded) {
@@ -197,8 +202,11 @@ using Shape = std::pair<std::size_t, std::size_t>;
 
 // Shapes chosen to stress the bit-packing: narrower than one word,
 // word-aligned, one past a word, multi-word, single row / single column.
-constexpr Shape kAwkwardShapes[] = {{1, 1},  {1, 130}, {17, 1},  {3, 63},
-                                    {8, 64}, {5, 65},  {33, 29}, {6, 200}};
+// 4x330 has six words, so a 3-word tile starts the two-word kernel loop at
+// an odd word.
+constexpr Shape kAwkwardShapes[] = {{1, 1},  {1, 130}, {17, 1},
+                                    {3, 63}, {8, 64},  {5, 65},
+                                    {33, 29}, {6, 200}, {4, 330}};
 
 TEST(PackedGrid, RoundTripsThroughByteGridOnAwkwardShapes) {
   for (auto [rows, cols] : kAwkwardShapes) {
@@ -225,6 +233,41 @@ TEST(PackedGrid, RoundTripsThroughByteGridOnAwkwardShapes) {
         ASSERT_EQ(back.get(r, c), g.get(r, c))
             << rows << "x" << cols << " at (" << r << "," << c << ")";
   }
+  // Every cols % 8 residue over one, two and three words: the converters
+  // move 8 cells per multiply and the rest one at a time.
+  for (std::size_t cols = 1; cols <= 130; ++cols) {
+    const pl::Grid g = pl::random_grid(3, cols, 0.5, cols);
+    const pl::PackedGrid p(g);
+    EXPECT_EQ(p.population(), g.population()) << "3x" << cols;
+    ASSERT_EQ(p.unpack(), g) << "3x" << cols;
+  }
+}
+
+// A cell is bit 0 of its byte. Bytes of every value, each next to other
+// values with high bits set: a pack that multiplied without masking to
+// bit 0 first would carry high bits into neighboring cells, and store_rows
+// must write back only 0 and 1.
+TEST(PackedGrid, PacksBitZeroOfEveryByteValue) {
+  constexpr std::size_t kRows = 3, kCols = 256 + 11;
+  pl::Grid g(kRows, kCols);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    std::uint8_t* cells = g.row_data(r);
+    for (std::size_t c = 0; c < kCols; ++c)
+      cells[c] = static_cast<std::uint8_t>(r == 0   ? c
+                                           : r == 1 ? 255 - c
+                                                    : 37 * c + 11);
+  }
+  const pl::PackedGrid p(g);
+  pl::Grid back(kRows, kCols);
+  for (std::size_t r = 0; r < kRows; ++r)
+    std::fill_n(back.row_data(r), kCols, std::uint8_t{0xaa});
+  p.store_rows(back, 0);
+  for (std::size_t r = 0; r < kRows; ++r)
+    for (std::size_t c = 0; c < kCols; ++c) {
+      const int bit = g.row_data(r)[c] & 1;
+      ASSERT_EQ(p.get(r, c), bit != 0) << "(" << r << "," << c << ")";
+      ASSERT_EQ(back.row_data(r)[c], bit) << "(" << r << "," << c << ")";
+    }
 }
 
 TEST(PackedGrid, SetGetAndBounds) {
@@ -238,6 +281,11 @@ TEST(PackedGrid, SetGetAndBounds) {
   EXPECT_THROW((void)p.get(3, 0), std::out_of_range);
   EXPECT_THROW(p.set(0, 70, true), std::out_of_range);
   EXPECT_THROW(pl::PackedGrid(0, 5), std::invalid_argument);
+  // Sizes whose word arithmetic wraps: cols + 63 (0 words per row) and
+  // rows + 2. Rejected before allocating.
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  EXPECT_THROW(pl::PackedGrid(1, kMax), std::invalid_argument);
+  EXPECT_THROW(pl::PackedGrid(kMax - 1, 1), std::invalid_argument);
 
   // load_rows/store_rows check the byte span before touching either
   // side: a narrower grid would otherwise be read past its row ends.
@@ -283,32 +331,37 @@ TEST(PackedGrid, EqualityIgnoresGhostAndPaddingBits) {
 }
 
 // The packed engines against the per-cell byte oracle, over both boundary
-// rules, all the awkward shapes, and multi-generation runs (a single row
-// means the wrap halo rows alias the row itself).
+// rules, all the awkward shapes, multi-generation runs (a single row means
+// the wrap halo rows alias the row itself) and tile widths. Tiles of 1, 2
+// and 3 words start the kernel at non-zero words of either parity, so its
+// two-word loop and its odd last word both run mid-row; 128 covers every
+// shape's row with one tile.
 class PackedEquivalence
     : public ::testing::TestWithParam<
-          std::tuple<pl::Boundary, Shape, int /*gens*/>> {};
+          std::tuple<pl::Boundary, Shape, int /*gens*/,
+                     std::size_t /*tile_words*/>> {};
 
 TEST_P(PackedEquivalence, AllEnginesMatchByteReference) {
-  const auto [boundary, shape, gens] = GetParam();
+  const auto [boundary, shape, gens, tile_words] = GetParam();
   const auto [rows, cols] = shape;
   const pl::Grid start =
       pl::random_grid(rows, cols, 0.42, 7u * rows + cols, boundary);
+  const pl::EngineOptions opt{.tile_words = tile_words};
 
   pl::Grid ref = start;
   pl::run_reference(ref, gens);
 
   pl::Grid seq = start;
-  pl::run_plan(seq, gens, {});
+  pl::run_plan(seq, gens, {}, opt);
   EXPECT_EQ(ref, seq) << "sequential " << rows << "x" << cols;
 
   pl::Grid thr = start;
-  pl::run_plan(thr, gens, {.threads_per_rank = 3});
+  pl::run_plan(thr, gens, {.threads_per_rank = 3}, opt);
   EXPECT_EQ(ref, thr) << "threaded " << rows << "x" << cols;
 
   pl::Grid msg = start;
   const int ranks = static_cast<int>(std::min<std::size_t>(3, rows));
-  pl::run_message_passing(msg, gens, ranks);
+  pl::run_message_passing(msg, gens, ranks, opt);
   EXPECT_EQ(ref, msg) << "message-passing " << rows << "x" << cols;
 }
 
@@ -316,5 +369,6 @@ INSTANTIATE_TEST_SUITE_P(
     AwkwardShapes, PackedEquivalence,
     ::testing::Combine(
         ::testing::Values(pl::Boundary::kDead, pl::Boundary::kTorus),
-        ::testing::ValuesIn(kAwkwardShapes),
-        ::testing::Values(1, 3, 8)));
+        ::testing::ValuesIn(kAwkwardShapes), ::testing::Values(1, 3, 8),
+        ::testing::Values(std::size_t{1}, std::size_t{2}, std::size_t{3},
+                          std::size_t{128})));

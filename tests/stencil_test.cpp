@@ -809,6 +809,8 @@ TEST(MpThreading, FunneledModeRejectsCommFromForeignThreads) {
 
 TEST(Heat, ValidatesArguments) {
   EXPECT_THROW(ps::HeatField(0, 4), std::invalid_argument);
+  // (2^63 + 2) x 4 padded cells wrap to 8; rejected before allocating.
+  EXPECT_THROW(ps::HeatField(std::size_t{1} << 63, 2), std::invalid_argument);
   constexpr float kInf = std::numeric_limits<float>::infinity();
   constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
   EXPECT_THROW(ps::HeatField(4, 4, kInf), std::invalid_argument);
