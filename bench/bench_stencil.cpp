@@ -9,8 +9,9 @@
 //   2. 2-D vs row-only tiling: on a wide board with a narrow active
 //      column band, row tiles can never sleep (every row intersects the
 //      band) while 2-D tiles skip the quiet columns.
-//   3. the heat kernel alone: ns/cell on normal vs subnormal floats, the
-//      penalty a cooling field's cold front pays in every cell.
+//   3. the heat kernel alone: ns/cell on normal vs subnormal floats at
+//      every vector width the CPU runs, the penalty a cooling field's cold
+//      front pays in every cell.
 //
 // The model-counts study emits *exact* deterministic numbers (halo wire
 // words, tiles computed/skipped, heat convergence steps) — the same rows
@@ -38,11 +39,29 @@
 #include "pdc/perf/timer.hpp"
 #include "pdc/stencil/heat.hpp"
 #include "pdc/stencil/tile.hpp"
+#include "pdc/stencil/vector_width.hpp"
 
 namespace {
 
 namespace pl = pdc::life;
 namespace ps = pdc::stencil;
+
+/// Both kernels pick their vector width on first use: step each once, so
+/// the header names the width every timing below ran at.
+void print_kernel_widths() {
+  pl::Grid board(1, 1);
+  pl::run_plan(board, 1, {});
+  ps::HeatField field(1, 1);
+  ps::heat_relax_plan(field, ps::HeatOptions{.max_steps = 1}, {});
+  std::cout << "== kernels: heat "
+            << pdc::obs::gauge("stencil.heat_kernel_lanes").value()
+            << " floats per vector, life "
+            << pdc::obs::gauge("life.kernel_words_per_vector").value()
+            << " words per vector (widest of";
+  for (const std::size_t bytes : ps::vector_widths())
+    std::cout << " " << bytes;
+  std::cout << " bytes) ==\n\n";
+}
 
 /// Board that is dead except for random soup in the top-left
 /// `block_rows x block_cols` corner — the sparse workload where skipping
@@ -240,56 +259,69 @@ void print_heat_engines(pdc::benchutil::Options& bopt) {
   bopt.add_json_table("heat engines", t);
 }
 
-/// The heat kernel alone: repeated HeatWorkload::step_tile sweeps over
-/// 32x64 tiles, double-buffered like the engine, on a field of normal
-/// floats and on one of subnormal floats. A sweep keeps every cell inside
-/// its field's value range, so neither field changes kind. The gap is the
-/// subnormal-operand penalty; the kernel's four lanes share each assist.
+/// The heat kernel alone at every vector width this CPU runs: repeated
+/// detail::heat_step_tile sweeps over 32x64 tiles, double-buffered like
+/// the engine, on a field of normal floats and on one of subnormal floats.
+/// A sweep keeps every cell inside its field's value range, so neither
+/// field changes kind. The gap is the subnormal-operand penalty; it is
+/// paid per instruction, so a wider vector shares each assist across more
+/// cells.
 void print_heat_kernel(pdc::benchutil::Options& bopt) {
   const std::size_t rows = 256, cols = 1024;
   const int sweeps = bopt.smoke ? 10 : 100;
   const ps::TileMap tiles(rows, cols, 32, 64);
   const ps::HeatWorkload w{0.25};
   const double cells = static_cast<double>(rows * cols) * sweeps;
-
-  pdc::perf::Table t({"field", "values", "ns/cell", "vs normal"});
-  double normal_ns = 0.0;
-  const auto add = [&](const char* name, const char* range, float lo,
-                       float hi) {
-    ps::HeatField a(rows, cols);
-    a.set_boundary(lo, hi, lo, hi);
+  const auto field = [&](float lo, float hi) {
+    ps::HeatField f(rows, cols);
+    f.set_boundary(lo, hi, lo, hi);
     std::mt19937 rng(11);
     std::uniform_real_distribution<float> value(lo, hi);
     for (std::size_t r = 0; r < rows; ++r)
       for (std::size_t c = 0; c < cols; ++c)
-        a.at(static_cast<std::ptrdiff_t>(r), static_cast<std::ptrdiff_t>(c)) =
+        f.at(static_cast<std::ptrdiff_t>(r), static_cast<std::ptrdiff_t>(c)) =
             value(rng);
-    ps::HeatField b = a;
-    double delta = 0.0;
-    const double s = pdc::perf::time_best_of(3, [&] {
-      for (int i = 0; i < sweeps; ++i) {
-        const ps::HeatField& src = i % 2 == 0 ? a : b;
-        ps::HeatField& dst = i % 2 == 0 ? b : a;
-        for (std::size_t tile = 0; tile < tiles.count(); ++tile)
-          delta = std::max(delta, w.step_tile(src, dst, tiles.bounds(tile)));
-      }
-    });
-    benchmark::DoNotOptimize(delta);
-    benchmark::DoNotOptimize(a);
-    const double ns = s * 1e9 / cells;
-    if (normal_ns == 0.0) normal_ns = ns;
-    t.add_row({name, range, pdc::perf::fmt(ns, 2),
-               pdc::perf::fmt(ns / normal_ns, 2)});
+    return f;
   };
-  add("normal", "0.5 .. 1", 0.5f, 1.0f);
-  add("subnormal", "1e-40 .. 1e-39", 1e-40f, 1e-39f);
+  const ps::HeatField normal = field(0.5f, 1.0f);
+  const ps::HeatField subnormal = field(1e-40f, 1e-39f);
 
-  std::cout << "== stencil: heat kernel on normal vs subnormal floats ("
+  pdc::perf::Table t({"lanes", "field", "values", "ns/cell", "vs normal"});
+  for (const std::size_t bytes : ps::vector_widths()) {
+    const std::string lanes = std::to_string(bytes / sizeof(float));
+    double normal_ns = 0.0;
+    const auto add = [&](const char* name, const char* range,
+                         const ps::HeatField& start) {
+      ps::HeatField a = start, b = start;
+      double delta = 0.0;
+      const double s = pdc::perf::time_best_of(3, [&] {
+        for (int i = 0; i < sweeps; ++i) {
+          const ps::HeatField& src = i % 2 == 0 ? a : b;
+          ps::HeatField& dst = i % 2 == 0 ? b : a;
+          for (std::size_t tile = 0; tile < tiles.count(); ++tile)
+            delta = std::max(delta,
+                             ps::detail::heat_step_tile(bytes, w, src, dst,
+                                                        tiles.bounds(tile)));
+        }
+      });
+      benchmark::DoNotOptimize(delta);
+      benchmark::DoNotOptimize(a);
+      const double ns = s * 1e9 / cells;
+      if (normal_ns == 0.0) normal_ns = ns;
+      t.add_row({lanes, name, range, pdc::perf::fmt(ns, 2),
+                 pdc::perf::fmt(ns / normal_ns, 2)});
+    };
+    add("normal", "0.5 .. 1", normal);
+    add("subnormal", "1e-40 .. 1e-39", subnormal);
+  }
+
+  std::cout << "== stencil: heat kernel on normal vs subnormal floats per "
+               "vector width ("
             << rows << "x" << cols << ", 32x64 tiles, " << sweeps
             << " sweeps, best of 3) ==\n"
             << t.str()
-            << "(a cooling field's cold front is subnormal; the four-lane "
-               "kernel shares each assist across four cells)\n\n";
+            << "(a cooling field's cold front is subnormal; each assist is "
+               "paid once per vector, shared by all its lanes)\n\n";
   bopt.add_json_table("heat kernel", t);
 }
 
@@ -404,6 +436,7 @@ BENCHMARK(BM_HeatStep)->Arg(256)->Arg(512);
 
 int main(int argc, char** argv) {
   auto opt = pdc::benchutil::parse_args(argc, argv);
+  print_kernel_widths();
   print_skip_ablation(opt);
   print_tiling_shape_study(opt);
   print_hybrid_ladder(opt);

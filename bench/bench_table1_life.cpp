@@ -1,8 +1,9 @@
 // T1-life — Table I, "Parallel Game of Life ... Experimental Scalability
 // Study": the lab report's speedup/efficiency table for the threaded
 // engine, the message-passing engine's traffic accounting, timed
-// generation kernels, and the byte-vs-packed kernel throughput ratio
-// (the SWAR rewrite's headline number).
+// generation kernels, the byte-vs-packed kernel throughput ratio (the
+// SWAR rewrite's headline number), and the SWAR kernel alone at every
+// vector width the CPU runs.
 //
 // Expected shape: near-linear speedup up to the core count, flattening
 // beyond it; packed kernel >= 10x the byte reference on a 1024x1024 torus.
@@ -20,9 +21,12 @@
 
 #include "pdc/life/engine.hpp"
 #include "pdc/life/grid.hpp"
+#include "pdc/life/packed_grid.hpp"
+#include "pdc/obs/metrics.hpp"
 #include "pdc/perf/scalability.hpp"
 #include "pdc/perf/table.hpp"
 #include "pdc/perf/timer.hpp"
+#include "pdc/stencil/vector_width.hpp"
 
 namespace {
 
@@ -60,6 +64,55 @@ void print_packed_vs_byte(bool smoke) {
   std::cout << "== T1-life: byte vs packed sequential kernel (" << n << "x"
             << n << " torus) ==\n"
             << table.str() << "(acceptance: packed >= 10x byte)\n\n";
+}
+
+/// The kernel picks its vector width on first use: step a board once, so
+/// the header names the width every timing below ran at.
+void print_kernel_width() {
+  pdc::life::Grid board(1, 1);
+  pdc::life::run_plan(board, 1, {});
+  std::cout << "== T1-life: SWAR kernel at "
+            << pdc::obs::gauge("life.kernel_words_per_vector").value()
+            << " words per vector (widest of";
+  for (const std::size_t bytes : pdc::stencil::vector_widths())
+    std::cout << " " << bytes;
+  std::cout << " bytes) ==\n\n";
+}
+
+/// The SWAR kernel alone at every vector width this CPU runs:
+/// detail::step_rows sweeps of a whole 2048x2048 board, double-buffered,
+/// without the engine, its ghost sync or the byte-grid conversion.
+void print_kernel_per_width(pdc::benchutil::Options& bopt) {
+  const std::size_t n = 2048;
+  const int gens = bopt.smoke ? 10 : 100;
+  const pdc::life::PackedGrid start(pdc::life::random_grid(n, n, 0.3, 42));
+  pdc::perf::Table table(
+      {"words/vector", "cells/ns", "us/generation", "vs 2 words"});
+  double base_us = 0.0;
+  for (const std::size_t bytes : pdc::stencil::vector_widths()) {
+    pdc::life::PackedGrid a = start, b = start;
+    const double s = pdc::perf::time_best_of(3, [&] {
+      for (int g = 0; g < gens; ++g) {
+        pdc::life::PackedGrid& src = g % 2 == 0 ? a : b;
+        pdc::life::PackedGrid& dst = g % 2 == 0 ? b : a;
+        // Padded rows: payload plus one halo word on each side.
+        pdc::life::detail::step_rows(bytes, src.halo_above_words(),
+                                     dst.row_words(0), src.words_per_row() + 2,
+                                     n, src.words_per_row(), src.tail_mask());
+      }
+    });
+    benchmark::DoNotOptimize(a);
+    benchmark::DoNotOptimize(b);
+    const double us = s * 1e6 / gens;
+    if (base_us == 0.0) base_us = us;
+    table.add_row({std::to_string(bytes / sizeof(std::uint64_t)),
+                   pdc::perf::fmt(static_cast<double>(n * n) / (us * 1e3), 2),
+                   pdc::perf::fmt(us, 1), pdc::perf::fmt(base_us / us, 2)});
+  }
+  std::cout << "== T1-life: SWAR kernel per vector width (" << n << "x" << n
+            << ", " << gens << " generations, best of 3) ==\n"
+            << table.str() << "\n";
+  bopt.add_json_table("life kernel", table);
 }
 
 void print_scalability_study(pdc::benchutil::Options& bopt) {
@@ -166,7 +219,9 @@ BENCHMARK(BM_LifeMessagePassing)->Arg(1)->Arg(2)->Arg(4);
 
 int main(int argc, char** argv) {
   auto opt = pdc::benchutil::parse_args(argc, argv);
+  print_kernel_width();
   print_packed_vs_byte(opt.smoke);
+  print_kernel_per_width(opt);
   print_scalability_study(opt);
   return pdc::benchutil::finish(opt, argc, argv);
 }

@@ -25,9 +25,10 @@
 // of 64 cells per word at once with a SWAR carry-save adder tree: bitwise
 // half/full adders compress the 8 shifted neighbor planes into a 4-bit
 // count per bit lane, and B3/S23 becomes four boolean ops — no per-cell
-// loads, branches, or modulo. It steps two words per 128-bit vector (SSE2,
-// the x86-64 baseline), and an odd last word of a span through the same
-// adder tree on a plain uint64_t.
+// loads, branches, or modulo. It steps a vector of words at a time, at the
+// widest width this CPU runs (stencil::vector_widths(): 2, 4 or 8 words
+// per SSE2, AVX2 or AVX-512F vector), and the last words of a span through
+// each narrower width down to a plain uint64_t, all one adder tree.
 //
 // Conversion at the boundaries moves 8 cells per multiply: load_rows
 // gathers bit 0 of 8 cell bytes into one byte, store_rows spreads a byte
@@ -112,7 +113,9 @@ class PackedGrid {
   /// Writes only masked payload words of `dst` (its ghosts need a re-sync
   /// afterwards). Wide tiles are swept in column blocks so each block's
   /// 4-row working set stays in L1. Returns true iff any masked word of
-  /// the tile changed (the stencil dirty predicate).
+  /// the tile changed (the stencil dirty predicate). The first call picks
+  /// the kernel's vector width and sets the obs gauge
+  /// `life.kernel_words_per_vector`.
   bool step_tile_into(PackedGrid& dst, std::size_t row_begin,
                       std::size_t row_end, std::size_t word_begin,
                       std::size_t word_end) const;
@@ -141,5 +144,20 @@ class PackedGrid {
   std::uint64_t tail_mask_;
   std::vector<std::uint64_t> data_;  ///< (rows + 2) x (words + 2)
 };
+
+namespace detail {
+/// The SWAR kernel at `vector_bytes` per vector, one of
+/// stencil::vector_widths() (step_tile_into runs the last), for tests and
+/// benches that cover every width. It computes `rows` consecutive rows of
+/// a block `nwords` words wide in a padded layout `stride` words per row:
+/// `above` points at the block's first word in the row above the first
+/// one computed, and each row's [-1] and [nwords] words must be readable.
+/// `out` receives the first row's next generation and the rest follow
+/// `stride` apart, each with `tail_mask` AND-ed into its last word. Throws
+/// std::invalid_argument if this CPU does not run `vector_bytes`.
+void step_rows(std::size_t vector_bytes, const std::uint64_t* above,
+               std::uint64_t* out, std::size_t stride, std::size_t rows,
+               std::size_t nwords, std::uint64_t tail_mask);
+}  // namespace detail
 
 }  // namespace pdc::life

@@ -1,10 +1,14 @@
 #include "pdc/life/packed_grid.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+
+#include "pdc/obs/metrics.hpp"
+#include "pdc/stencil/vector_width.hpp"
 
 namespace pdc::life {
 
@@ -16,48 +20,70 @@ constexpr std::size_t kBits = 64;
 /// 1 destination row per tile, 4 x 512 x 8 B = 16 KiB — comfortably L1.
 constexpr std::size_t kTileWords = 512;
 
-/// Two 64-cell words in a portable GCC/Clang vector: lane-wise bit ops and
-/// shifts, compiled to baseline SSE2 on x86-64.
-typedef std::uint64_t Word2 __attribute__((vector_size(16)));
+/// kBytes / 8 64-cell words, compiled to whatever the enclosing function's
+/// target supports: SSE2, AVX2 or AVX-512F. 8 bytes is the plain word.
+template <std::size_t kBytes>
+struct Words {
+  typedef std::uint64_t V __attribute__((vector_size(kBytes)));
+};
+template <>
+struct Words<8> {
+  using V = std::uint64_t;
+};
 
-/// s = a + b (bit), c = carry; W is std::uint64_t or Word2.
+// Vectors move only through references and memcpy below: passing a 32- or
+// 64-byte vector by value changes the calling convention outside its
+// target, and GCC warns about it (-Wpsabi) even in an inlined helper.
+
+/// s = a + b (bit), c = carry.
 template <class W>
-void half_add(W a, W b, W& s, W& c) {
+[[gnu::always_inline]] inline void half_add(const W& a, const W& b, W& s,
+                                            W& c) {
   s = a ^ b;
   c = a & b;
 }
 
 /// s = a + b + cin (bit), c = carry.
 template <class W>
-void full_add(W a, W b, W cin, W& s, W& c) {
+[[gnu::always_inline]] inline void full_add(const W& a, const W& b,
+                                            const W& cin, W& s, W& c) {
   const W t = a ^ b;
   s = t ^ cin;
   c = (a & b) | (cin & t);
 }
 
 template <class W>
-W load(const std::uint64_t* p) {
-  W v{};
+[[gnu::always_inline]] inline void load(W& v, const std::uint64_t* p) {
   std::memcpy(&v, p, sizeof v);
-  return v;
 }
 
-/// The next generation of the sizeof(W) / 8 words at `mid`, whose rows
-/// above and below start at `up` and `down`; each row's [-1] word and the
-/// word past the span must be readable.
+/// The next generation of the sizeof(W) / 8 words at `mid` into `out`; the
+/// rows above and below start at `up` and `down`, and each row's [-1]
+/// word and the word past the span must be readable.
 template <class W>
-W next_words(const std::uint64_t* up, const std::uint64_t* mid,
-             const std::uint64_t* down) {
-  const W u = load<W>(up), m = load<W>(mid), d = load<W>(down);
+[[gnu::always_inline]] inline void next_words(const std::uint64_t* up,
+                                              const std::uint64_t* mid,
+                                              const std::uint64_t* down,
+                                              std::uint64_t* out) {
+  W u, m, d, uw, ue, mw, me, dw, de;
+  load(u, up);
+  load(m, mid);
+  load(d, down);
+  load(uw, up - 1);
+  load(ue, up + 1);
+  load(mw, mid - 1);
+  load(me, mid + 1);
+  load(dw, down - 1);
+  load(de, down + 1);
   // The 8 neighbor planes: each row shifted toward west (cell c-1 lands
   // in lane c) and east, with the cross-word bit from the adjacent word
   // (or halo word / ghost bit at the row ends).
-  const W uw = (u << 1) | (load<W>(up - 1) >> (kBits - 1));
-  const W ue = (u >> 1) | (load<W>(up + 1) << (kBits - 1));
-  const W mw = (m << 1) | (load<W>(mid - 1) >> (kBits - 1));
-  const W me = (m >> 1) | (load<W>(mid + 1) << (kBits - 1));
-  const W dw = (d << 1) | (load<W>(down - 1) >> (kBits - 1));
-  const W de = (d >> 1) | (load<W>(down + 1) << (kBits - 1));
+  uw = (u << 1) | (uw >> (kBits - 1));
+  ue = (u >> 1) | (ue << (kBits - 1));
+  mw = (m << 1) | (mw >> (kBits - 1));
+  me = (m >> 1) | (me << (kBits - 1));
+  dw = (d << 1) | (dw >> (kBits - 1));
+  de = (d >> 1) | (de << (kBits - 1));
 
   // Carry-save adder tree: 8 one-bit inputs -> 4-bit count per lane.
   W s0, c0, s1, c1, s2, c2;
@@ -73,26 +99,116 @@ W next_words(const std::uint64_t* up, const std::uint64_t* mid,
   half_add(c4a, c4b, n2, n3);        // fours, eights
 
   // B3/S23: count==3 always lives, count==2 lives iff already alive.
-  return n1 & ~n2 & ~n3 & (n0 | m);
+  const W next = n1 & ~n2 & ~n3 & (n0 | m);
+  std::memcpy(out, &next, sizeof next);
 }
 
-/// The SWAR kernel for one span of `nwords` words: `up`/`mid`/`down`
-/// point at the same word offset of three consecutive padded rows (their
-/// [-1] and [nwords] neighbors must be readable), `out` receives the next
-/// generation of the mid row, two words per vector and an odd last word
-/// on its own. `tail_mask` is AND-ed into the final word written (pass ~0
-/// for spans that do not end a row).
-void step_row_words(const std::uint64_t* up, const std::uint64_t* mid,
-                    const std::uint64_t* down, std::uint64_t* out,
-                    std::size_t nwords, std::uint64_t tail_mask) {
-  std::size_t w = 0;
-  for (; w + 2 <= nwords; w += 2) {
-    const Word2 next = next_words<Word2>(up + w, mid + w, down + w);
-    std::memcpy(out + w, &next, sizeof next);
+/// Words [w, nwords) of a span: whole kBytes vectors, then the rest
+/// through each narrower width down to a single word (each runs at most
+/// once).
+template <std::size_t kBytes>
+[[gnu::always_inline]] inline void step_words(const std::uint64_t* up,
+                                              const std::uint64_t* mid,
+                                              const std::uint64_t* down,
+                                              std::uint64_t* out,
+                                              std::size_t w,
+                                              std::size_t nwords) {
+  for (; w + kBytes / 8 <= nwords; w += kBytes / 8)
+    next_words<typename Words<kBytes>::V>(up + w, mid + w, down + w, out + w);
+  if constexpr (kBytes > 8)
+    step_words<kBytes / 2>(up, mid, down, out, w, nwords);
+}
+
+/// The SWAR kernel at kBytes per vector on `rows` consecutive rows of a
+/// block `nwords` wide, in a padded layout `stride` words per row: `above`
+/// points at the block's first word in the row above the first one
+/// computed, and every row's [-1] and [nwords] neighbors must be readable.
+/// `out` receives the next generation of the first row's span, the rest
+/// `stride` apart; `tail_mask` is AND-ed into each row's last word (pass
+/// ~0 for blocks that do not end a row). A block narrower than one vector
+/// runs whole at a narrower width, so its rows skip the step-down.
+template <std::size_t kBytes>
+[[gnu::always_inline]] inline void step_rows_at(const std::uint64_t* above,
+                                                std::uint64_t* out,
+                                                std::size_t stride,
+                                                std::size_t rows,
+                                                std::size_t nwords,
+                                                std::uint64_t tail_mask) {
+  if constexpr (kBytes > 16) {
+    if (nwords < kBytes / 8)
+      return step_rows_at<kBytes / 2>(above, out, stride, rows, nwords,
+                                      tail_mask);
   }
-  if (w < nwords)
-    out[w] = next_words<std::uint64_t>(up + w, mid + w, down + w);
-  out[nwords - 1] &= tail_mask;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::uint64_t* up = above + r * stride;
+    std::uint64_t* row = out + r * stride;
+    step_words<kBytes>(up, up + stride, up + 2 * stride, row, 0, nwords);
+    row[nwords - 1] &= tail_mask;
+  }
+}
+
+using StepRowsFn = void (*)(const std::uint64_t*, std::uint64_t*,
+                            std::size_t, std::size_t, std::size_t,
+                            std::uint64_t);
+
+void step_rows_16(const std::uint64_t* above, std::uint64_t* out,
+                  std::size_t stride, std::size_t rows, std::size_t nwords,
+                  std::uint64_t tail_mask) {
+  step_rows_at<16>(above, out, stride, rows, nwords, tail_mask);
+}
+
+#if defined(__x86_64__)
+[[gnu::target("avx2")]] void step_rows_32(const std::uint64_t* above,
+                                          std::uint64_t* out,
+                                          std::size_t stride, std::size_t rows,
+                                          std::size_t nwords,
+                                          std::uint64_t tail_mask) {
+  step_rows_at<32>(above, out, stride, rows, nwords, tail_mask);
+}
+
+[[gnu::target("avx512f")]] void step_rows_64(const std::uint64_t* above,
+                                             std::uint64_t* out,
+                                             std::size_t stride,
+                                             std::size_t rows,
+                                             std::size_t nwords,
+                                             std::uint64_t tail_mask) {
+  step_rows_at<64>(above, out, stride, rows, nwords, tail_mask);
+}
+#endif
+
+/// The kernel compiled for `vector_bytes`. Throws std::invalid_argument
+/// unless this CPU runs that width.
+StepRowsFn step_rows_fn(std::size_t vector_bytes) {
+  const auto widths = stencil::vector_widths();
+  if (std::find(widths.begin(), widths.end(), vector_bytes) == widths.end())
+    throw std::invalid_argument("life kernel: vector width not run here");
+#if defined(__x86_64__)
+  if (vector_bytes == 64) return step_rows_64;
+  if (vector_bytes == 32) return step_rows_32;
+#endif
+  return step_rows_16;
+}
+
+void resolve_step_rows(const std::uint64_t* above, std::uint64_t* out,
+                       std::size_t stride, std::size_t rows,
+                       std::size_t nwords, std::uint64_t tail_mask);
+
+/// The kernel step_tile_into calls: resolve_step_rows until its first call
+/// swaps in the widest width's kernel (no guard check per call, unlike a
+/// function-local static).
+std::atomic<StepRowsFn> picked_step_rows{resolve_step_rows};
+
+/// Picks the widest width this CPU runs, names it in the obs gauge, and
+/// steps the block with it. Threads racing here all store the same kernel.
+void resolve_step_rows(const std::uint64_t* above, std::uint64_t* out,
+                       std::size_t stride, std::size_t rows,
+                       std::size_t nwords, std::uint64_t tail_mask) {
+  const std::size_t bytes = stencil::vector_widths().back();
+  obs::gauge("life.kernel_words_per_vector")
+      .set(static_cast<std::int64_t>(bytes / sizeof(std::uint64_t)));
+  const StepRowsFn step = step_rows_fn(bytes);
+  picked_step_rows.store(step, std::memory_order_relaxed);
+  step(above, out, stride, rows, nwords, tail_mask);
 }
 
 /// The 8-byte loads and stores below read cell i from byte i.
@@ -292,6 +408,7 @@ bool PackedGrid::step_tile_into(PackedGrid& dst, std::size_t row_begin,
                                 std::size_t word_end) const {
   if (dst.rows_ != rows_ || dst.cols_ != cols_)
     throw std::invalid_argument("destination grid shape mismatch");
+  const StepRowsFn step_rows = picked_step_rows.load(std::memory_order_relaxed);
   bool changed = false;
   for (std::size_t w0 = word_begin; w0 < word_end; w0 += kTileWords) {
     const std::size_t w1 = std::min(word_end, w0 + kTileWords);
@@ -299,19 +416,24 @@ bool PackedGrid::step_tile_into(PackedGrid& dst, std::size_t row_begin,
     // of both the kernel output and the changed comparison.
     const std::uint64_t mask = w1 == words_ ? tail_mask_ : ~std::uint64_t{0};
     const std::size_t n = w1 - w0;
-    for (std::size_t r = row_begin; r < row_end; ++r) {
+    step_rows(padded_row(row_begin) + w0, dst.padded_row(row_begin + 1) + w0,
+              stride(), row_end - row_begin, n, mask);
+    for (std::size_t r = row_begin; r < row_end && !changed; ++r) {
       const std::uint64_t* src = padded_row(r + 1) + w0;
-      std::uint64_t* out = dst.padded_row(r + 1) + w0;
-      step_row_words(padded_row(r) + w0, src, padded_row(r + 2) + w0, out, n,
-                     mask);
-      if (!changed) {
-        std::uint64_t diff = (src[n - 1] ^ out[n - 1]) & mask;
-        for (std::size_t i = 0; i + 1 < n; ++i) diff |= src[i] ^ out[i];
-        changed = diff != 0;
-      }
+      const std::uint64_t* out = dst.padded_row(r + 1) + w0;
+      std::uint64_t diff = (src[n - 1] ^ out[n - 1]) & mask;
+      for (std::size_t i = 0; i + 1 < n; ++i) diff |= src[i] ^ out[i];
+      changed = diff != 0;
     }
   }
   return changed;
+}
+
+void detail::step_rows(std::size_t vector_bytes, const std::uint64_t* above,
+                       std::uint64_t* out, std::size_t stride,
+                       std::size_t rows, std::size_t nwords,
+                       std::uint64_t tail_mask) {
+  step_rows_fn(vector_bytes)(above, out, stride, rows, nwords, tail_mask);
 }
 
 bool PackedGrid::operator==(const PackedGrid& other) const {

@@ -1,33 +1,192 @@
 #include "pdc/stencil/heat.hpp"
 
 #include <algorithm>
-#include <bit>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
+
+#include "pdc/obs/metrics.hpp"
+#include "pdc/stencil/vector_width.hpp"
 
 namespace pdc::stencil {
 
 namespace {
 
-// Four floats in a portable GCC/Clang vector: lane-wise arithmetic and
-// comparisons, compiled to baseline SSE on x86-64.
-typedef float Vec4 __attribute__((vector_size(16)));
-typedef std::int32_t Bits4 __attribute__((vector_size(16)));
+/// kBytes / 4 floats and their bit patterns, compiled to whatever the
+/// enclosing function's target supports: SSE2, AVX or AVX-512F.
+template <std::size_t kBytes>
+struct Lanes {
+  typedef float F __attribute__((vector_size(kBytes)));
+  typedef std::int32_t Bits __attribute__((vector_size(kBytes)));
+};
 
-Vec4 load4(const float* p) {
-  Vec4 v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
+/// The three source rows a destination row reads, and that row.
+struct RowPtrs {
+  const float* up;
+  const float* mid;
+  const float* down;
+  float* out;
+};
+
+// Vectors move only through references and memcpy below: passing a 32- or
+// 64-byte vector by value changes the calling convention outside its
+// target, and GCC warns about it (-Wpsabi) even in an inlined helper.
+
+/// A tile's running max |next - cur|: one accumulator per vector width
+/// its rows step through, from kBytes down to 16, then one for single
+/// cells. No lane ever holds a NaN, so folding them together is exact and
+/// order-free.
+template <std::size_t kBytes>
+struct MaxDelta {
+  typename Lanes<kBytes>::F lanes{};
+  std::conditional_t<(kBytes > 16), MaxDelta<kBytes / 2>, float> narrower{};
+};
+
+/// Steps the kBytes / 4 cells at column c of `row`. Each lane computes one
+/// cell with the scalar formula's exact operation order, and `max` folds
+/// in |next - cur| with std::max's semantics (a NaN delta is dropped).
+template <std::size_t kBytes>
+[[gnu::always_inline]] inline void step_lanes(const RowPtrs& row,
+                                              std::size_t c, float k,
+                                              typename Lanes<kBytes>::F& max) {
+  using F = typename Lanes<kBytes>::F;
+  using Bits = typename Lanes<kBytes>::Bits;
+  F cur, up, down, left, right;
+  std::memcpy(&cur, row.mid + c, kBytes);
+  std::memcpy(&up, row.up + c, kBytes);
+  std::memcpy(&down, row.down + c, kBytes);
+  std::memcpy(&left, row.mid + c - 1, kBytes);
+  std::memcpy(&right, row.mid + c + 1, kBytes);
+  const F avg = 0.25f * (((up + down) + left) + right);
+  const F next = cur + k * (avg - cur);
+  std::memcpy(row.out + c, &next, kBytes);
+  // std::fabs per lane: clear the sign bit.
+  const F d = __builtin_bit_cast(
+      F, __builtin_bit_cast(Bits, next - cur) & 0x7fffffff);
+  max = (max < d) ? d : max;
 }
 
-void store4(float* p, Vec4 v) { std::memcpy(p, &v, sizeof v); }
+/// Cells [c, c1) of one row: whole kBytes vectors, then the rest through
+/// each narrower width (each runs at most once) and the last < 4 cells one
+/// at a time.
+template <std::size_t kBytes>
+[[gnu::always_inline]] inline void step_cells(const RowPtrs& row,
+                                              std::size_t c, std::size_t c1,
+                                              float k, MaxDelta<kBytes>& max) {
+  for (; c + kBytes / 4 <= c1; c += kBytes / 4)
+    step_lanes<kBytes>(row, c, k, max.lanes);
+  if constexpr (kBytes > 16) {
+    step_cells<kBytes / 2>(row, c, c1, k, max.narrower);
+  } else {
+    for (; c < c1; ++c) {
+      const float cur = row.mid[c];
+      const float avg =
+          0.25f * (row.up[c] + row.down[c] + row.mid[c - 1] + row.mid[c + 1]);
+      const float next = cur + k * (avg - cur);
+      row.out[c] = next;
+      max.narrower = std::max(max.narrower, std::fabs(next - cur));
+    }
+  }
+}
 
-/// Lane-wise std::fabs: clears the sign bit.
-Vec4 abs4(Vec4 v) {
-  return std::bit_cast<Vec4>(std::bit_cast<Bits4>(v) & 0x7fffffff);
+/// The largest value in `max`: each width's lanes are halved into the next
+/// narrower accumulator, then the last four lanes and the single cells.
+template <std::size_t kBytes>
+[[gnu::always_inline]] inline float fold(MaxDelta<kBytes>& max) {
+  if constexpr (kBytes > 16) {
+    typename Lanes<kBytes / 2>::F lo, hi;
+    std::memcpy(&lo, &max.lanes, kBytes / 2);
+    std::memcpy(&hi, reinterpret_cast<const char*>(&max.lanes) + kBytes / 2,
+                kBytes / 2);
+    auto& into = max.narrower.lanes;
+    into = (into < lo) ? lo : into;
+    into = (into < hi) ? hi : into;
+    return fold(max.narrower);
+  } else {
+    const auto& v = max.lanes;
+    return std::max({max.narrower, v[0], v[1], v[2], v[3]});
+  }
+}
+
+/// HeatWorkload::step_tile at kBytes per vector. A tile narrower than one
+/// vector runs whole at a narrower width, so its rows skip the step-down.
+template <std::size_t kBytes>
+[[gnu::always_inline]] inline double step_tile_at(const HeatField& src,
+                                                  HeatField& dst,
+                                                  const TileBounds& b,
+                                                  float k) {
+  if constexpr (kBytes > 16) {
+    if (b.cols() < kBytes / 4)
+      return step_tile_at<kBytes / 2>(src, dst, b, k);
+  }
+  MaxDelta<kBytes> max;
+  for (std::size_t r = b.r0; r < b.r1; ++r) {
+    const auto ri = static_cast<std::ptrdiff_t>(r);
+    const RowPtrs row{&src.at(ri - 1, 0), &src.at(ri, 0), &src.at(ri + 1, 0),
+                      &dst.at(ri, 0)};
+    step_cells<kBytes>(row, b.c0, b.c1, k, max);
+  }
+  return static_cast<double>(fold(max));
+}
+
+using StepTileFn = double (*)(const HeatField&, HeatField&, const TileBounds&,
+                              float);
+
+double step_tile_16(const HeatField& src, HeatField& dst, const TileBounds& b,
+                    float k) {
+  return step_tile_at<16>(src, dst, b, k);
+}
+
+#if defined(__x86_64__)
+[[gnu::target("avx2")]] double step_tile_32(const HeatField& src,
+                                            HeatField& dst,
+                                            const TileBounds& b, float k) {
+  return step_tile_at<32>(src, dst, b, k);
+}
+
+[[gnu::target("avx512f")]] double step_tile_64(const HeatField& src,
+                                               HeatField& dst,
+                                               const TileBounds& b, float k) {
+  return step_tile_at<64>(src, dst, b, k);
+}
+#endif
+
+/// The kernel compiled for `vector_bytes`. Throws std::invalid_argument
+/// unless this CPU runs that width.
+StepTileFn step_tile_fn(std::size_t vector_bytes) {
+  const auto widths = vector_widths();
+  if (std::find(widths.begin(), widths.end(), vector_bytes) == widths.end())
+    throw std::invalid_argument("heat kernel: vector width not run here");
+#if defined(__x86_64__)
+  if (vector_bytes == 64) return step_tile_64;
+  if (vector_bytes == 32) return step_tile_32;
+#endif
+  return step_tile_16;
+}
+
+double resolve_step_tile(const HeatField& src, HeatField& dst,
+                         const TileBounds& b, float k);
+
+/// The kernel HeatWorkload::step_tile calls: resolve_step_tile until its
+/// first call swaps in the widest width's kernel. A constant-initialized
+/// pointer costs each tile one load, where a function-local static would
+/// add a guard check and register saves to every call.
+std::atomic<StepTileFn> picked_step_tile{resolve_step_tile};
+
+/// Picks the widest width this CPU runs, names it in the obs gauge, and
+/// steps the tile with it. Threads racing here all store the same kernel.
+double resolve_step_tile(const HeatField& src, HeatField& dst,
+                         const TileBounds& b, float k) {
+  const std::size_t bytes = vector_widths().back();
+  obs::gauge("stencil.heat_kernel_lanes")
+      .set(static_cast<std::int64_t>(bytes / sizeof(float)));
+  const StepTileFn step = step_tile_fn(bytes);
+  picked_step_tile.store(step, std::memory_order_relaxed);
+  return step(src, dst, b, k);
 }
 
 /// The engine options for `o`; every heat entry point goes through here.
@@ -120,44 +279,17 @@ double HeatField::max_abs_diff(const HeatField& other) const {
   return m;
 }
 
-// Each lane of a Vec4 computes one cell with the scalar formula's exact
-// operation order, so the vector kernel's fields are bit-identical to a
-// per-cell loop; the max-reduction is order-free. Four lanes is the
-// x86-64 baseline SSE width: no ISA flags, and on a cold front full of
-// subnormal floats the microcode assist is paid once per four cells.
 double HeatWorkload::step_tile(const Field& src, Field& dst,
                                const TileBounds& b) const {
-  const float k = static_cast<float>(conductivity);
-  const std::size_t vec_end = b.c0 + (b.c1 - b.c0) / 4 * 4;
-  Vec4 max4 = {};
-  float max_d = 0.0f;
-  for (std::size_t r = b.r0; r < b.r1; ++r) {
-    const auto ri = static_cast<std::ptrdiff_t>(r);
-    const float* up = &src.at(ri - 1, 0);
-    const float* mid = &src.at(ri, 0);
-    const float* down = &src.at(ri + 1, 0);
-    float* out = &dst.at(ri, 0);
-    std::size_t c = b.c0;
-    for (; c < vec_end; c += 4) {
-      const Vec4 cur = load4(mid + c);
-      const Vec4 avg = 0.25f * (((load4(up + c) + load4(down + c)) +
-                                 load4(mid + c - 1)) +
-                                load4(mid + c + 1));
-      const Vec4 next = cur + k * (avg - cur);
-      store4(out + c, next);
-      const Vec4 d = abs4(next - cur);
-      max4 = (max4 < d) ? d : max4;  // std::max's semantics: NaN dropped
-    }
-    for (; c < b.c1; ++c) {
-      const float cur = mid[c];
-      const float avg = 0.25f * (up[c] + down[c] + mid[c - 1] + mid[c + 1]);
-      const float next = cur + k * (avg - cur);
-      out[c] = next;
-      max_d = std::max(max_d, std::fabs(next - cur));
-    }
-  }
-  for (int i = 0; i < 4; ++i) max_d = std::max(max_d, max4[i]);
-  return static_cast<double>(max_d);
+  return picked_step_tile.load(std::memory_order_relaxed)(
+      src, dst, b, static_cast<float>(conductivity));
+}
+
+double detail::heat_step_tile(std::size_t vector_bytes, const HeatWorkload& w,
+                              const HeatField& src, HeatField& dst,
+                              const TileBounds& b) {
+  return step_tile_fn(vector_bytes)(src, dst, b,
+                                    static_cast<float>(w.conductivity));
 }
 
 void HeatWorkload::pack_row(const Field& f, bool top,

@@ -86,8 +86,10 @@ struct HeatWorkload {
   [[nodiscard]] bool wrap_cols(const Field&) const { return false; }
   void init(Field&) const {}
   /// One Jacobi sweep of b's cells from src into dst; returns the max
-  /// |next - cur|. Computes four columns at a time, bit-identical to the
-  /// per-cell formula above.
+  /// |next - cur|. Computes a vector of columns at a time, at the widest
+  /// width this CPU runs (stencil::vector_widths()), bit-identical to the
+  /// per-cell formula above at every width. The first call picks the
+  /// width and sets the obs gauge `stencil.heat_kernel_lanes`.
   double step_tile(const Field& src, Field& dst, const TileBounds& b) const;
   void finish_step(Field&, const TileMap&,
                    const std::vector<std::uint8_t>&) const {}
@@ -101,6 +103,15 @@ struct HeatWorkload {
   void unpack_halo(Field& f, bool above, const std::int64_t* in) const;
   void finish_halo(Field&) const {}
 };
+
+namespace detail {
+/// HeatWorkload::step_tile at `vector_bytes` per vector, one of
+/// vector_widths(), for tests and benches that cover every width. Throws
+/// std::invalid_argument if this CPU does not run that width.
+double heat_step_tile(std::size_t vector_bytes, const HeatWorkload& w,
+                      const HeatField& src, HeatField& dst,
+                      const TileBounds& b);
+}  // namespace detail
 
 /// Relax `field` in place until convergence (or max_steps) on an
 /// ExecPlan — the entry point for every plan. One rank relaxes `field`

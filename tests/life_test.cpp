@@ -7,12 +7,18 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <random>
+#include <span>
+#include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "pdc/life/engine.hpp"
 #include "pdc/life/grid.hpp"
 #include "pdc/life/packed_grid.hpp"
+#include "pdc/obs/metrics.hpp"
+#include "pdc/stencil/vector_width.hpp"
 
 namespace pl = pdc::life;
 
@@ -328,6 +334,83 @@ TEST(PackedGrid, EqualityIgnoresGhostAndPaddingBits) {
   EXPECT_TRUE(a == b);
   EXPECT_EQ(a.population(), b.population());
   EXPECT_EQ(a.unpack(), b.unpack());
+}
+
+namespace {
+
+/// Cell i of a padded row whose element 0 is the [-1] halo word: i runs
+/// from -1 (bit 63 of the halo word) to 64 * nwords (bit 0 of word
+/// [nwords]).
+bool cell(const std::uint64_t* padded, std::ptrdiff_t i) {
+  const auto at = static_cast<std::size_t>(i + 64);
+  return ((padded[at / 64] >> (at % 64)) & 1) != 0;
+}
+
+/// "16 32 64": the widths a test ran, for RecordProperty.
+std::string width_list(std::span<const std::size_t> widths) {
+  std::string s;
+  for (const std::size_t w : widths)
+    s += (s.empty() ? "" : " ") + std::to_string(w);
+  return s;
+}
+
+}  // namespace
+
+// The SWAR kernel at every vector width this CPU runs, on two rows of
+// spans 1-17 words wide (every tail each width steps down through),
+// against B3/S23 cell by cell. Random halo words make the cross-word bits
+// at both span ends count; the words around each output span must stay
+// untouched, and the tail mask must clear the bits it drops from the last
+// word.
+TEST(LifeKernel, StepRowsMatchesPerCellRuleAtEveryWidth) {
+  const auto widths = pdc::stencil::vector_widths();
+  RecordProperty("vector_widths", width_list(widths));
+  constexpr std::size_t kRows = 2;
+  std::mt19937_64 rng(2013);
+  for (const std::size_t bytes : widths)
+    for (std::size_t n = 1; n <= 17; ++n) {
+      // Padded rows: the [-1] halo word, n payload words, the [n] halo
+      // word. The source has a row above and a row below the output's.
+      const std::size_t stride = n + 2;
+      std::vector<std::uint64_t> src((kRows + 2) * stride),
+          out(kRows * stride);
+      for (auto& w : src) w = rng();
+      for (auto& w : out) w = rng();
+      const std::uint64_t tail_mask =
+          n % 2 == 0 ? ~std::uint64_t{0} : (std::uint64_t{1} << 37) - 1;
+      std::vector<std::uint64_t> want = out;
+      for (std::size_t r = 0; r < kRows; ++r) {
+        const std::uint64_t* up = &src[r * stride];
+        const std::uint64_t* mid = up + stride;
+        const std::uint64_t* down = mid + stride;
+        std::uint64_t* row = &want[r * stride + 1];
+        std::fill_n(row, n, std::uint64_t{0});
+        for (std::size_t i = 0; i < 64 * n; ++i) {
+          const auto c = static_cast<std::ptrdiff_t>(i);
+          int count = cell(mid, c - 1) + cell(mid, c + 1);
+          for (std::ptrdiff_t dc = -1; dc <= 1; ++dc)
+            count += cell(up, c + dc) + cell(down, c + dc);
+          if (count == 3 || (count == 2 && cell(mid, c)))
+            row[i / 64] |= std::uint64_t{1} << (i % 64);
+        }
+        row[n - 1] &= tail_mask;
+      }
+      pl::detail::step_rows(bytes, src.data() + 1, out.data() + 1, stride,
+                            kRows, n, tail_mask);
+      ASSERT_EQ(out, want) << bytes << " bytes, " << n << " words";
+    }
+
+  pl::Grid board = pl::random_grid(8, 200, 0.4, 1);
+  pl::run_plan(board, 1, {});
+  EXPECT_EQ(pdc::obs::gauge("life.kernel_words_per_vector").value(),
+            static_cast<std::int64_t>(widths.back() / sizeof(std::uint64_t)));
+
+  // A width this CPU does not run is refused, not executed.
+  std::uint64_t rows[9] = {};
+  for (const std::size_t bytes : {0, 8, 128})
+    EXPECT_THROW(pl::detail::step_rows(bytes, rows + 1, rows + 4, 3, 1, 1,
+                                       ~std::uint64_t{0}),
+                 std::invalid_argument);
 }
 
 // The packed engines against the per-cell byte oracle, over both boundary

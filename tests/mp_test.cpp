@@ -111,12 +111,14 @@ TEST(P2P, ProbeAndIrecv) {
       ctx.send_value(1, 9, 0);  // tell peer to go
       const auto msg = req.wait();
       EXPECT_EQ(msg.data.at(0), 77);
-      EXPECT_TRUE(ctx.probe(1, 6));  // second message still queued
+      EXPECT_TRUE(ctx.probe(1, 6));  // arrived first, still queued
       EXPECT_EQ(ctx.recv_value(1, 6), 88);
     } else {
       (void)ctx.recv(0, 9);
-      ctx.send_value(0, 5, 77);
+      // Tag 6 goes first, so it is queued before tag 5 is even sent. Sent
+      // second, rank 0 could probe for it between the two sends.
       ctx.send_value(0, 6, 88);
+      ctx.send_value(0, 5, 77);
     }
   });
 }

@@ -7,6 +7,7 @@
 #include "pdc/stencil/engine.hpp"
 #include "pdc/stencil/heat.hpp"
 #include "pdc/stencil/tile.hpp"
+#include "pdc/stencil/vector_width.hpp"
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -338,57 +340,92 @@ std::size_t subnormal_cells(const ps::HeatField& f) {
   return n;
 }
 
+/// "16 32 64": the widths a test ran, for RecordProperty.
+std::string width_list(std::span<const std::size_t> widths) {
+  std::string s;
+  for (const std::size_t w : widths)
+    s += (s.empty() ? "" : " ") + std::to_string(w);
+  return s;
+}
+
 }  // namespace
 
-// Every width % 4 tail, tiles off the left edge, tiles ending at cols, on
-// a field mixing normals, subnormals and zeros; then a multi-step run
-// whose cold front relaxes into subnormals. Destination buffers (the ring
-// and cells outside the tile included) are compared byte for byte.
+// At every vector width this CPU runs, and through the public step_tile:
+// tile widths 1-17 and 61-67 (every tail each width steps down through),
+// tiles off the left edge, tiles ending at cols, on a field mixing
+// normals, subnormals and zeros; then a multi-step run whose cold front
+// relaxes into subnormals. Destination buffers (the ring and cells
+// outside the tile included) are compared byte for byte.
 TEST(HeatKernel, StepTileMatchesPerCellFormulaBitForBit) {
+  const auto widths = ps::vector_widths();
+  RecordProperty("vector_widths", width_list(widths));
+  ASSERT_EQ(widths.front(), 16u);
+  EXPECT_TRUE(std::is_sorted(widths.begin(), widths.end()));
+
   constexpr std::size_t kRows = 11, kCols = 80;
   const ps::HeatField src = mixed_field(kRows, kCols);
+  std::vector<std::size_t> tile_widths;
+  for (std::size_t wd = 1; wd <= 17; ++wd) tile_widths.push_back(wd);
+  for (std::size_t wd = 61; wd <= 67; ++wd) tile_widths.push_back(wd);
   for (const double k : {0.25, 0.2}) {
     const ps::HeatWorkload w{k};
-    std::vector<std::size_t> widths;
-    for (std::size_t wd = 1; wd <= 9; ++wd) widths.push_back(wd);
-    for (std::size_t wd = 61; wd <= 67; ++wd) widths.push_back(wd);
-    for (const std::size_t wd : widths)
+    for (const std::size_t wd : tile_widths)
       for (const std::size_t c0 : {std::size_t{0}, std::size_t{3},
                                    kCols - wd})
         for (const std::size_t r0 : {std::size_t{0}, std::size_t{4}}) {
           const std::size_t r1 = r0 == 0 ? kRows : 7;
           const ps::TileBounds b{r0, r1, c0, c0 + wd};
-          ps::HeatField want = mixed_field(kRows, kCols);
-          ps::HeatField got = want;
+          ps::HeatField want = src;
           const double want_d = reference_step_tile(src, want, b, k);
-          const double got_d = w.step_tile(src, got, b);
           const std::string at = "k=" + std::to_string(k) +
                                  " rows [" + std::to_string(r0) + "," +
                                  std::to_string(r1) + ") cols [" +
                                  std::to_string(c0) + "," +
                                  std::to_string(c0 + wd) + ")";
+          ps::HeatField got = src;
+          EXPECT_EQ(w.step_tile(src, got, b), want_d) << at;
           EXPECT_TRUE(same_bytes(got, want)) << at;
-          EXPECT_EQ(got_d, want_d) << at;
+          for (const std::size_t bytes : widths) {
+            got = src;
+            EXPECT_EQ(ps::detail::heat_step_tile(bytes, w, src, got, b),
+                      want_d)
+                << bytes << " bytes, " << at;
+            EXPECT_TRUE(same_bytes(got, want)) << bytes << " bytes, " << at;
+          }
         }
   }
+  EXPECT_EQ(obs::gauge("stencil.heat_kernel_lanes").value(),
+            static_cast<std::int64_t>(widths.back() / sizeof(float)));
 
   // Many steps from a hot top edge: the cold front fills with subnormals.
-  constexpr std::size_t kTall = 96, kWide = 70;  // 70 % 4 == 2
+  constexpr std::size_t kTall = 96, kWide = 70;  // 70 % 16 == 6
   const ps::HeatWorkload w{0.25};
   const ps::TileBounds all{0, kTall, 0, kWide};
-  ps::HeatField want_cur = hot_top(kTall, kWide), want_nxt = want_cur;
-  ps::HeatField got_cur = want_cur, got_nxt = want_cur;
-  std::size_t max_subnormal = 0;
-  for (int step = 0; step < 150; ++step) {
-    const double want_d = reference_step_tile(want_cur, want_nxt, all, 0.25);
-    const double got_d = w.step_tile(got_cur, got_nxt, all);
-    ASSERT_TRUE(same_bytes(got_nxt, want_nxt)) << "step " << step;
-    ASSERT_EQ(got_d, want_d) << "step " << step;
-    std::swap(want_cur, want_nxt);
-    std::swap(got_cur, got_nxt);
-    max_subnormal = std::max(max_subnormal, subnormal_cells(got_cur));
+  for (const std::size_t bytes : widths) {
+    ps::HeatField want_cur = hot_top(kTall, kWide), want_nxt = want_cur;
+    ps::HeatField got_cur = want_cur, got_nxt = want_cur;
+    std::size_t max_subnormal = 0;
+    for (int step = 0; step < 150; ++step) {
+      const double want_d =
+          reference_step_tile(want_cur, want_nxt, all, 0.25);
+      const double got_d =
+          ps::detail::heat_step_tile(bytes, w, got_cur, got_nxt, all);
+      ASSERT_TRUE(same_bytes(got_nxt, want_nxt))
+          << bytes << " bytes, step " << step;
+      ASSERT_EQ(got_d, want_d) << bytes << " bytes, step " << step;
+      std::swap(want_cur, want_nxt);
+      std::swap(got_cur, got_nxt);
+      max_subnormal = std::max(max_subnormal, subnormal_cells(got_cur));
+    }
+    EXPECT_GT(max_subnormal, 0u);
   }
-  EXPECT_GT(max_subnormal, 0u);
+
+  // A width this CPU does not run is refused, not executed.
+  ps::HeatField got = src;
+  for (const std::size_t bytes : {0, 8, 128})
+    EXPECT_THROW(ps::detail::heat_step_tile(bytes, w, src, got,
+                                            {0, kRows, 0, kCols}),
+                 std::invalid_argument);
 }
 
 class HeatEngineIdentity : public ::testing::TestWithParam<double> {};
