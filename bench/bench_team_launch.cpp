@@ -2,12 +2,13 @@
 //
 // Every parallel construct in pdc::core launches SPMD regions; before the
 // TeamPool, each region paid P x (jthread spawn + join). The pool parks
-// its workers between regions and releases them with a generation bump,
-// which is the overhead OpenMP-style runtimes amortize. This bench
-// measures exactly that gap: region-launch latency (empty body) and
-// parallel_for throughput on a small loop, pooled vs forked, across
-// thread counts — the reason every downstream parallel bench is now less
-// dominated by thread-creation noise.
+// its workers between regions and hands each one a rank directly, which
+// is the overhead OpenMP-style runtimes amortize. This bench measures
+// exactly that gap: region-launch latency (empty body) and parallel_for
+// throughput on a small loop, pooled vs forked, across thread counts —
+// the reason every downstream parallel bench is now less dominated by
+// thread-creation noise. The "2 in 2" row nests a 2-rank region inside
+// each rank of a 2-rank region, which the pool serves like any other.
 //
 // Expected shape: pooled launch latency is several-fold (target >= 5x at
 // 8 threads) below forked and grows slowly with P; the gap shrinks as the
@@ -19,6 +20,7 @@
 
 #include <cstddef>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "pdc/core/parallel_for.hpp"
@@ -28,13 +30,17 @@
 
 namespace {
 
-/// Seconds per empty region launch on the given path.
-double region_launch_seconds(int threads, bool reuse_pool, int regions) {
+/// Seconds per empty region launch on the given path. `nested`: every
+/// rank launches an empty 2-rank region of its own.
+double region_launch_seconds(int threads, bool reuse_pool, int regions,
+                             bool nested = false) {
   const pdc::core::TeamOptions opt{.reuse_pool = reuse_pool};
+  const auto body = [&](pdc::core::TeamContext&) {
+    if (nested) pdc::core::Team::run(2, opt, [](pdc::core::TeamContext&) {});
+  };
   return pdc::perf::time_best_of(3, [&] {
            for (int i = 0; i < regions; ++i)
-             pdc::core::Team::run(threads, opt,
-                                  [](pdc::core::TeamContext&) {});
+             pdc::core::Team::run(threads, opt, body);
          }) /
          regions;
 }
@@ -45,18 +51,21 @@ void print_launch_table() {
 
   pdc::perf::Table t({"threads", "forked us/region", "pooled us/region",
                       "forked/pooled"});
-  for (int p : {1, 2, 4, 8}) {
-    const int regions = p >= 4 ? 200 : 500;
-    const double forked = region_launch_seconds(p, false, regions) * 1e6;
-    const double pooled = region_launch_seconds(p, true, regions) * 1e6;
-    t.add_row({std::to_string(p), pdc::perf::fmt(forked, 2),
-               pdc::perf::fmt(pooled, 2),
+  const auto add_row = [&](const std::string& label, int p, bool nested) {
+    const int regions = p >= 4 || nested ? 200 : 500;
+    const double forked =
+        region_launch_seconds(p, false, regions, nested) * 1e6;
+    const double pooled = region_launch_seconds(p, true, regions, nested) * 1e6;
+    t.add_row({label, pdc::perf::fmt(forked, 2), pdc::perf::fmt(pooled, 2),
                pdc::perf::fmt(pooled > 0 ? forked / pooled : 0.0, 1)});
-  }
+  };
+  for (int p : {1, 2, 4, 8}) add_row(std::to_string(p), p, false);
+  add_row("2 in 2", 2, true);
   std::cout << "== region launch: persistent pool vs fork-per-region ==\n"
             << t.str()
             << "(threads=1 runs inline on both paths; the forked column "
-               "pays P spawns+joins per region)\n\n";
+               "pays P spawns+joins per region; \"2 in 2\" times one 2-rank "
+               "region whose ranks each launch a 2-rank region)\n\n";
 
   // The same gap seen through parallel_for on a short loop.
   std::vector<double> xs(1 << 14, 1.0);

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <functional>
+#include <stdexcept>
 #include <vector>
 
 #include "pdc/core/task_group.hpp"
@@ -70,9 +71,10 @@ void merge_sort(std::vector<T>& data, Cmp cmp = {}) {
 /// Fork-join parallel merge sort: recursion forks until ~`threads` leaves
 /// (then sorts sequentially); merges are sequential, so the span is Θ(n) —
 /// expect speedup to flatten well below linear, exactly as the work/span
-/// analysis predicts.
+/// analysis predicts. Throws std::invalid_argument when threads < 1.
 template <typename T, typename Cmp = std::less<T>>
 void parallel_merge_sort(std::vector<T>& data, int threads, Cmp cmp = {}) {
+  if (threads < 1) throw std::invalid_argument("threads must be >= 1");
   std::vector<T> scratch(data.size());
   detail::parallel_merge_sort_rec(data, scratch, 0, data.size(), cmp,
                                   core::fork_depth_for_threads(threads));

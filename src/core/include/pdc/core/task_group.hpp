@@ -1,62 +1,55 @@
 #pragma once
-// Fork-join helpers (Core Guidelines CP.4: think in terms of tasks).
+// Fork-join helpers (Core Guidelines CP.4: think in terms of tasks). Both
+// offer their work to the TeamPool's workers and help first: work that no
+// worker has started by the time its result is needed runs on the thread
+// that needs it, so neither ever waits on a busy pool or deadlocks on one.
 //
-//  - TaskGroup: spawn independent tasks onto a ThreadPool and wait for all
-//    of them; exceptions are collected and the first is rethrown at wait().
+//  - TaskGroup: spawn independent tasks and wait for all of them;
+//    exceptions are collected and one is rethrown at wait().
 //  - invoke_parallel: structured two-way fork-join for divide-and-conquer.
-//    One branch is offered to the persistent global ThreadPool and the
-//    other runs inline; if no pool worker has picked the offered branch up
-//    by the time the inline one finishes, the caller claims and runs it
-//    itself (help-first), so recursion never creates threads and never
-//    deadlocks on a saturated pool. The depth budget bounds how deep the
-//    recursion keeps offering work to the pool.
+//    One branch is offered to the pool and the caller runs the other, then
+//    the offered one too if no worker has started it. The depth budget
+//    bounds how deep the recursion keeps offering work to the pool.
 
-#include <atomic>
-#include <condition_variable>
+#include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
-#include <thread>
-#include <utility>
 
-#include "pdc/core/thread_pool.hpp"
+#include "pdc/core/team_pool.hpp"
 
 namespace pdc::core {
 
-/// Awaits a dynamic set of independent tasks submitted to a pool.
+/// Awaits a dynamic set of independent tasks run on the TeamPool.
 class TaskGroup {
  public:
-  /// Tasks run on `pool` (defaults to the process-global pool).
-  explicit TaskGroup(ThreadPool* pool = nullptr);
+  TaskGroup() = default;
 
-  /// Not copyable/movable: tasks capture `this`.
+  /// Not copyable/movable: the pool holds pointers to queued tasks.
   TaskGroup(const TaskGroup&) = delete;
   TaskGroup& operator=(const TaskGroup&) = delete;
 
   /// `wait()`s if the caller forgot to (std::terminate-safe destruction).
   ~TaskGroup();
 
-  /// Schedule `fn` to run concurrently. Must not be called after wait()
-  /// has returned unless more work is intentionally batched.
+  /// Schedule `fn` to run concurrently. Tasks may spawn into their own
+  /// group.
   void spawn(std::function<void()> fn);
 
-  /// Block until every spawned task has finished; rethrows the first
-  /// exception any task raised.
+  /// Block until every spawned task has finished, running here any task
+  /// no worker has started; then rethrow the exception of the
+  /// earliest-spawned task that threw. The group is reusable afterwards.
   void wait();
 
  private:
-  ThreadPool* pool_;
-  std::mutex m_;
-  std::condition_variable cv_;
-  std::size_t pending_ = 0;
-  std::exception_ptr first_error_;
+  std::mutex m_;                    // guards jobs_
+  std::deque<TeamPool::Job> jobs_;  // a deque: offered jobs never move
 };
 
 /// Run `f` and `g` potentially in parallel and return when both are done.
-/// `depth_budget` > 0 offers `f` to the global pool (running it inline if
-/// no worker claims it); 0 runs both inline. Both branches complete before
-/// the call returns. Exceptions propagate (if both throw, `f`'s wins).
+/// `depth_budget` > 0 offers `f` to the pool (running it inline if no
+/// worker has started it once `g` is done); 0 runs both inline. Exceptions
+/// propagate (if both throw, `f`'s wins).
 template <typename F, typename G>
 void invoke_parallel(F&& f, G&& g, int depth_budget) {
   if (depth_budget <= 0) {
@@ -64,64 +57,22 @@ void invoke_parallel(F&& f, G&& g, int depth_budget) {
     g();
     return;
   }
-  // Claim token: exactly one of {pool worker, caller} runs f. The posted
-  // closure touches `f` only when it wins the claim, which the caller then
-  // waits out — so capturing f by pointer is safe.
-  struct Offer {
-    std::atomic<bool> claimed{false};
-    bool done = false;
-    std::exception_ptr error;
-    std::mutex m;
-    std::condition_variable cv;
-  };
-  auto offer = std::make_shared<Offer>();
-  auto* fp = std::addressof(f);
-  try {
-    ThreadPool::global().post([offer, fp] {
-      if (offer->claimed.exchange(true)) return;  // caller already ran f
-      std::exception_ptr err;
-      try {
-        (*fp)();
-      } catch (...) {
-        err = std::current_exception();
-      }
-      std::lock_guard lk(offer->m);
-      offer->error = err;
-      offer->done = true;
-      offer->cv.notify_all();
-    });
-  } catch (...) {
-    // Pool shutting down: degrade to sequential.
-    f();
-    g();
-    return;
-  }
-
+  TeamPool& pool = TeamPool::instance();
+  TeamPool::Job offered([&f] { f(); });
+  pool.offer(offered);
   std::exception_ptr g_error;
   try {
     g();
   } catch (...) {
     g_error = std::current_exception();
   }
-
-  std::exception_ptr f_error;
-  if (!offer->claimed.exchange(true)) {
-    try {
-      f();  // help-first: nobody started f, run it here
-    } catch (...) {
-      f_error = std::current_exception();
-    }
-  } else {
-    std::unique_lock lk(offer->m);
-    offer->cv.wait(lk, [&] { return offer->done; });
-    f_error = offer->error;
-  }
-  if (f_error) std::rethrow_exception(f_error);
+  pool.join(offered);
+  if (offered.error()) std::rethrow_exception(offered.error());
   if (g_error) std::rethrow_exception(g_error);
 }
 
 /// Depth budget that bounds forked threads to about `threads`:
-/// ceil(log2(threads)).
+/// ceil(log2(threads)), and 0 for `threads` <= 1.
 [[nodiscard]] int fork_depth_for_threads(int threads);
 
 }  // namespace pdc::core

@@ -4,35 +4,19 @@
 // per-team reusable barrier. The threaded Game of Life engine and the
 // OpenMP-style loop constructs are built on this.
 //
-// Regions execute on the process-wide persistent TeamPool by default
-// (parked workers released per region — no thread creation on the hot
-// path); `TeamOptions{.reuse_pool = false}` keeps the original
-// fork-one-jthread-per-rank path selectable for the CS31 teaching
-// comparison (and bench_team_launch measures the gap).
+// Regions execute on the process-wide TeamPool by default: parked workers
+// take one rank each, so no thread is created on the hot path, and nested
+// or concurrent regions are pooled too. `TeamOptions{.reuse_pool = false}`
+// keeps the original fork-one-jthread-per-rank path selectable for the
+// CS31 teaching comparison (and bench_team_launch measures the gap).
 
 #include <cstddef>
-#include <exception>
 #include <functional>
+#include <utility>
 
 #include "pdc/sync/barrier.hpp"
 
 namespace pdc::core {
-
-class Team;
-class TeamPool;
-class TeamContext;
-
-namespace detail {
-/// Run one member: construct its context, invoke `body`, and on failure
-/// record the exception in `error` and break the team barrier so that
-/// teammates blocked in ctx.barrier() unwind instead of deadlocking.
-/// A sync::BrokenBarrierError raised *by* the barrier (a teammate failed
-/// first) is the unwind signal, not this member's own error, and is not
-/// recorded. Shared by the pooled, forked, and caller-as-rank-0 paths.
-void run_team_member(int rank, int size, sync::CyclicBarrier* barrier,
-                     const std::function<void(TeamContext&)>& body,
-                     std::exception_ptr& error) noexcept;
-}  // namespace detail
 
 /// Per-thread view handed to the SPMD body.
 class TeamContext {
@@ -52,10 +36,6 @@ class TeamContext {
 
  private:
   friend class Team;
-  friend void detail::run_team_member(
-      int rank, int size, sync::CyclicBarrier* barrier,
-      const std::function<void(TeamContext&)>& body,
-      std::exception_ptr& error) noexcept;
   TeamContext(int rank, int size, sync::CyclicBarrier* barrier)
       : rank_(rank), size_(size), barrier_(barrier) {}
 
@@ -66,7 +46,7 @@ class TeamContext {
 
 /// How a Team region is launched.
 struct TeamOptions {
-  /// true (default): release parked TeamPool workers for the region.
+  /// true (default): hand the ranks to parked TeamPool workers.
   /// false: fork one fresh jthread per rank and join them — the original
   /// CS31 model, kept for the fork-vs-pool teaching comparison.
   bool reuse_pool = true;

@@ -1,9 +1,8 @@
 #include "pdc/core/task_group.hpp"
 
-namespace pdc::core {
+#include <bit>
 
-TaskGroup::TaskGroup(ThreadPool* pool)
-    : pool_(pool != nullptr ? pool : &ThreadPool::global()) {}
+namespace pdc::core {
 
 TaskGroup::~TaskGroup() {
   try {
@@ -14,42 +13,38 @@ TaskGroup::~TaskGroup() {
 }
 
 void TaskGroup::spawn(std::function<void()> fn) {
-  {
-    std::lock_guard lk(m_);
-    ++pending_;
+  std::lock_guard lk(m_);
+  TeamPool::Job& job = jobs_.emplace_back(std::move(fn));
+  try {
+    TeamPool::instance().offer(job);
+  } catch (...) {
+    jobs_.pop_back();  // never queued, so nothing points at it
+    throw;
   }
-  pool_->post([this, fn = std::move(fn)] {
-    std::exception_ptr err;
-    try {
-      fn();
-    } catch (...) {
-      err = std::current_exception();
-    }
-    std::lock_guard lk(m_);
-    if (err && !first_error_) first_error_ = err;
-    if (--pending_ == 0) cv_.notify_all();
-  });
 }
 
 void TaskGroup::wait() {
-  std::unique_lock lk(m_);
-  cv_.wait(lk, [&] { return pending_ == 0; });
-  if (first_error_) {
-    std::exception_ptr err = first_error_;
-    first_error_ = nullptr;
-    lk.unlock();
-    std::rethrow_exception(err);
+  std::exception_ptr first_error;
+  // Tasks may spawn more while we join, so re-read the size each round.
+  for (std::size_t i = 0;; ++i) {
+    TeamPool::Job* job = nullptr;
+    {
+      std::lock_guard lk(m_);
+      if (i == jobs_.size()) {
+        jobs_.clear();
+        break;
+      }
+      job = &jobs_[i];
+    }
+    TeamPool::instance().join(*job);
+    if (!first_error) first_error = job->error();
   }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 int fork_depth_for_threads(int threads) {
-  int depth = 0;
-  int capacity = 1;
-  while (capacity < threads) {
-    capacity *= 2;
-    ++depth;
-  }
-  return depth;
+  if (threads <= 1) return 0;
+  return static_cast<int>(std::bit_width(static_cast<unsigned>(threads - 1)));
 }
 
 }  // namespace pdc::core

@@ -25,27 +25,6 @@ std::pair<std::size_t, std::size_t> TeamContext::block_range(
   return {lo, hi};
 }
 
-namespace detail {
-
-void run_team_member(int rank, int size, sync::CyclicBarrier* barrier,
-                     const std::function<void(TeamContext&)>& body,
-                     std::exception_ptr& error) noexcept {
-  try {
-    TeamContext ctx(rank, size, barrier);
-    body(ctx);
-  } catch (const sync::BrokenBarrierError&) {
-    // A teammate failed first and broke the barrier out from under our
-    // ctx.barrier(); we unwound cleanly and have no error of our own.
-  } catch (...) {
-    error = std::current_exception();
-    // Release teammates blocked (or about to block) in ctx.barrier():
-    // this member will never arrive.
-    barrier->break_barrier();
-  }
-}
-
-}  // namespace detail
-
 void Team::run(int threads, const std::function<void(TeamContext&)>& body) {
   run(threads, TeamOptions{}, body);
 }
@@ -71,26 +50,30 @@ void Team::run(int threads, const TeamOptions& options,
   }
 
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(threads));
-
-  bool ran_pooled = false;
+  // One member: on failure, record the exception and break the barrier so
+  // that teammates blocked in ctx.barrier() unwind instead of deadlocking.
+  const auto member = [&](int rank) noexcept {
+    try {
+      TeamContext ctx(rank, threads, &barrier);
+      body(ctx);
+    } catch (const sync::BrokenBarrierError&) {
+      // A teammate failed first and broke the barrier out from under our
+      // ctx.barrier(); we unwound cleanly and have no error of our own.
+    } catch (...) {
+      errors[static_cast<std::size_t>(rank)] = std::current_exception();
+      barrier.break_barrier();
+    }
+  };
   if (options.reuse_pool) {
-    ran_pooled =
-        TeamPool::instance().try_run(threads, body, barrier, errors);
-  }
-  (ran_pooled ? c_pooled : c_forked).add(1);
-
-  if (!ran_pooled) {
+    c_pooled.add(1);
+    TeamPool::instance().run(threads, member);
+  } else {
     // Fork-per-region path: one fresh jthread per rank, joined on scope
-    // exit — the CS31 teaching model, and the fallback for nested or
-    // concurrent regions.
+    // exit — the CS31 teaching model.
+    c_forked.add(1);
     std::vector<std::jthread> members;
     members.reserve(static_cast<std::size_t>(threads));
-    for (int r = 0; r < threads; ++r) {
-      members.emplace_back([&, r] {
-        detail::run_team_member(r, threads, &barrier, body,
-                                errors[static_cast<std::size_t>(r)]);
-      });
-    }
+    for (int r = 0; r < threads; ++r) members.emplace_back(member, r);
   }  // join all
 
   for (auto& e : errors)

@@ -1,20 +1,21 @@
 #include "pdc/core/team_pool.hpp"
 
+#include <algorithm>
+#include <string>
+#include <utility>
+
 #include "pdc/obs/obs.hpp"
 
 namespace pdc::core {
 
 namespace {
 
-// Set while a thread runs any Team region member (see TeamPool::in_region).
-thread_local bool tl_in_region = false;
-
 // Brief spin before parking / joining. The container this library targets
 // is often oversubscribed (teams larger than the core count), so the spin
-// is short and yields: condvar parking is the steady state, the spin only
-// catches back-to-back regions on idle hardware.
+// is short and yields: parking is the steady state, the spin only catches
+// back-to-back jobs on idle hardware.
 template <typename Pred>
-inline bool spin_until(const Pred& done) {
+bool spin_until(const Pred& done) {
   for (int i = 0; i < 256; ++i) {
     if (done()) return true;
     if ((i & 15) == 15) std::this_thread::yield();
@@ -24,19 +25,28 @@ inline bool spin_until(const Pred& done) {
 
 }  // namespace
 
+void TeamPool::Job::run() noexcept {
+  try {
+    fn_();
+  } catch (...) {
+    error_ = std::current_exception();
+  }
+}
+
 TeamPool& TeamPool::instance() {
   static TeamPool pool;
   return pool;
 }
 
-bool TeamPool::in_region() { return tl_in_region; }
-
 TeamPool::~TeamPool() {
   {
     std::lock_guard lk(m_);
     stop_ = true;
+    for (Worker& w : workers_) {
+      w.woken.store(1, std::memory_order_release);
+      w.woken.notify_one();
+    }
   }
-  release_cv_.notify_all();
   workers_.clear();  // jthread joins on destruction
 }
 
@@ -45,101 +55,111 @@ std::size_t TeamPool::workers_started() const {
   return workers_.size();
 }
 
-void TeamPool::ensure_workers(std::size_t needed) {
-  // Called with launch_m_ held, before the generation bump: a worker born
-  // now must treat the upcoming bump as its first region, so it parks on
-  // the *current* generation.
-  const std::uint64_t gen = region_word_.load(std::memory_order_relaxed) >>
-                            kSizeBits;
-  std::lock_guard lk(m_);
-  while (workers_.size() < needed) {
-    const std::size_t index = workers_.size();
-    workers_.emplace_back(
-        [this, index, gen] { worker_loop(index, gen); });
-  }
+void TeamPool::start_worker() {
+  idle_.push_back(&workers_.emplace_back(*this, workers_.size()));
 }
 
-void TeamPool::worker_loop(std::size_t index, std::uint64_t gen_at_spawn) {
-  const int rank = static_cast<int>(index) + 1;
-  // Pool workers are long-lived and bounded (kMaxTeam), so label the trace
-  // track unconditionally — cheap, and spans land on a stable lane.
-  obs::set_thread_label("core.team/" + std::to_string(rank));
-  std::uint64_t seen_gen = gen_at_spawn;
+TeamPool::Worker& TeamPool::wake_idle(Region* region, int rank) {
+  Worker& w = *idle_.back();
+  idle_.pop_back();
+  w.region = region;
+  w.rank = rank;
+  w.woken.store(1, std::memory_order_release);
+  w.woken.notify_one();
+  return w;
+}
+
+void TeamPool::worker_loop(Worker& w, std::size_t index) {
+  // Pool workers are long-lived, so label the trace track unconditionally
+  // — cheap, and spans land on a stable lane.
+  obs::set_thread_label("core.team/" + std::to_string(index + 1));
   while (true) {
-    std::uint64_t word = region_word_.load(std::memory_order_acquire);
-    if ((word >> kSizeBits) == seen_gen) {
-      const bool released = spin_until([&] {
-        word = region_word_.load(std::memory_order_acquire);
-        return (word >> kSizeBits) != seen_gen;
-      });
-      if (!released) {
-        std::unique_lock lk(m_);
-        release_cv_.wait(lk, [&] {
-          word = region_word_.load(std::memory_order_acquire);
-          return stop_ || (word >> kSizeBits) != seen_gen;
-        });
-        if (stop_) return;
+    if (!spin_until([&] { return w.woken.load(std::memory_order_acquire); }))
+      w.woken.wait(0, std::memory_order_acquire);
+    if (Region* r = w.region) {
+      r->member(w.rank);
+      // Count out without the lock: teammates finish together. Park first,
+      // since the launcher returns this worker to idle_ once all have.
+      w.woken.store(0, std::memory_order_relaxed);
+      if (r->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        std::lock_guard lk(m_);  // the launcher may be about to wait
+        regions_done_.notify_all();
       }
+      continue;
     }
-    seen_gen = word >> kSizeBits;
-    const int size = static_cast<int>(word & kSizeMask);
-    if (rank < size) {
-      tl_in_region = true;
-      detail::run_team_member(rank, size, region_barrier_, *region_body_,
-                              (*region_errors_)[static_cast<std::size_t>(rank)]);
-      tl_in_region = false;
-      if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard lk(m_);
-        done_cv_.notify_all();
-      }
+    std::unique_lock lk(m_);
+    while (!offers_.empty()) {
+      Job& job = *offers_.front();
+      offers_.pop_front();
+      job.started_ = true;
+      lk.unlock();
+      job.run();
+      lk.lock();
+      // Notify first: once done_ reads true, the owner may free the job.
+      job.done_cv_.notify_one();
+      job.done_.store(true, std::memory_order_release);
     }
+    if (stop_) return;
+    w.woken.store(0, std::memory_order_relaxed);
+    idle_.push_back(&w);
   }
 }
 
-bool TeamPool::try_run(int threads,
-                       const std::function<void(TeamContext&)>& body,
-                       sync::CyclicBarrier& barrier,
-                       std::vector<std::exception_ptr>& errors) {
-  if (threads > kMaxTeam) return false;
-  // Nested region on this thread: launch_m_ is non-recursive and a worker
-  // cannot serve a region while running one, so fork instead.
-  if (tl_in_region) return false;
-  std::unique_lock launch(launch_m_, std::try_to_lock);
-  if (!launch.owns_lock()) return false;  // concurrent region holds the pool
-
-  ensure_workers(static_cast<std::size_t>(threads) - 1);
-
-  region_body_ = &body;
-  region_barrier_ = &barrier;
-  region_errors_ = &errors;
-  remaining_.store(threads - 1, std::memory_order_relaxed);
+void TeamPool::run(int threads, const std::function<void(int)>& member) {
+  Region region{member, threads - 1};
   {
-    // Publish under m_ so a parking worker cannot miss the wakeup between
-    // its predicate check and its wait.
     std::lock_guard lk(m_);
-    const std::uint64_t gen =
-        (region_word_.load(std::memory_order_relaxed) >> kSizeBits) + 1;
-    region_word_.store((gen << kSizeBits) |
-                           static_cast<std::uint64_t>(threads),
-                       std::memory_order_release);
+    // Start every missing worker before handing out any rank, so a failed
+    // thread start leaves no member waiting on its teammates.
+    while (idle_.size() < static_cast<std::size_t>(threads) - 1)
+      start_worker();
+    for (int rank = 1; rank < threads; ++rank) {
+      Worker& w = wake_idle(&region, rank);
+      w.next = std::exchange(region.hired, &w);
+    }
   }
-  release_cv_.notify_all();
-
-  // The launcher is rank 0 — the caller's thread does real work instead of
-  // blocking for the whole region.
-  tl_in_region = true;
-  detail::run_team_member(0, threads, &barrier, body, errors[0]);
-  tl_in_region = false;
-
-  // Join: all participating workers have checked in once remaining_ == 0.
-  const auto joined = [&] {
-    return remaining_.load(std::memory_order_acquire) == 0;
+  member(0);
+  const auto done = [&] {
+    return region.remaining.load(std::memory_order_acquire) == 0;
   };
-  if (!spin_until(joined)) {
-    std::unique_lock lk(m_);
-    done_cv_.wait(lk, joined);
+  const bool spun = spin_until(done);
+  std::unique_lock lk(m_);
+  if (!spun) regions_done_.wait(lk, done);
+  for (Worker* w = region.hired; w != nullptr; w = w->next) {
+    w->region = nullptr;
+    idle_.push_back(w);
   }
-  return true;
+  // The freed workers take offers queued while they were busy.
+  for (std::size_t n = offers_.size(); n > 0 && !idle_.empty(); --n)
+    wake_idle(nullptr, 0);
+}
+
+void TeamPool::offer(Job& job) {
+  static const std::size_t kOfferWorkers =
+      std::max(1u, std::thread::hardware_concurrency());
+  std::lock_guard lk(m_);
+  // Wake a worker before queueing: if starting one throws, nothing is
+  // queued.
+  if (idle_.empty() && workers_.size() < kOfferWorkers) start_worker();
+  if (!idle_.empty()) wake_idle(nullptr, 0);
+  offers_.push_back(&job);
+}
+
+void TeamPool::join(Job& job) {
+  {
+    std::unique_lock lk(m_);
+    if (!job.started_) {
+      job.started_ = true;
+      offers_.erase(std::find(offers_.begin(), offers_.end(), &job));
+      lk.unlock();
+      job.run();
+      return;
+    }
+  }
+  const auto done = [&] { return job.done_.load(std::memory_order_acquire); };
+  if (spin_until(done)) return;
+  std::unique_lock lk(m_);
+  job.done_cv_.wait(lk, done);
 }
 
 }  // namespace pdc::core

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <numeric>
 #include <random>
+#include <stdexcept>
 #include <tuple>
 
 #include "pdc/algo/matrix.hpp"
@@ -95,6 +96,9 @@ TEST(Sort, CustomComparatorDescending) {
   pa::parallel_merge_sort(v, 4, std::greater<std::int64_t>{});
   EXPECT_TRUE(std::is_sorted(v.begin(), v.end(),
                              std::greater<std::int64_t>{}));
+  // Like every other threads-taking entry point, it rejects a team < 1.
+  EXPECT_THROW(pa::parallel_merge_sort(v, 0), std::invalid_argument);
+  EXPECT_THROW(pa::parallel_merge_sort(v, -1), std::invalid_argument);
 }
 
 // ------------------------------------------------------------- selection ---

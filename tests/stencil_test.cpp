@@ -615,6 +615,10 @@ TEST(HybridPlan, LifeBitIdenticalToSeqOracleAcrossPlanMatrix) {
   opt.tile_rows = 2;
   opt.tile_words = 1;
   const int gens = 4;
+  // Each rank's team is a region running alongside the other ranks'; the
+  // pool serves them all, so no plan forks a thread per region.
+  obs::Counter& forked = obs::counter("core.regions.forked");
+  const std::uint64_t forked_before = forked.value();
 
   for (const auto& [rows, cols] : kShapes) {
     const pl::Grid start =
@@ -652,6 +656,7 @@ TEST(HybridPlan, LifeBitIdenticalToSeqOracleAcrossPlanMatrix) {
       }
     }
   }
+  EXPECT_EQ(forked.value(), forked_before);
 }
 
 // Same matrix for the float workload: fields, step counts, and the
