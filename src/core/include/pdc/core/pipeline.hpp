@@ -4,8 +4,10 @@
 // Throughput approaches 1/max(stage time) instead of 1/sum(stage time);
 // FIFO buffers and one thread per stage preserve item order.
 
+#include <exception>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -31,6 +33,8 @@ class Pipeline {
 
   /// Push all `inputs` through the pipeline; returns the outputs in input
   /// order. Rebuilds the stage threads per call (fork-join semantics).
+  /// If a stage throws, the pipeline winds down and run() rethrows the
+  /// first exception once every thread has joined.
   std::vector<T> run(const std::vector<T>& inputs) {
     const std::size_t n_stages = stages_.size();
     // buffers[i] connects stage i-1 -> stage i; buffers[0] is the source,
@@ -42,13 +46,26 @@ class Pipeline {
 
     std::vector<T> outputs;
     outputs.reserve(inputs.size());
+    std::mutex error_m;
+    std::exception_ptr error;
     {
       std::vector<std::jthread> workers;
       for (std::size_t s = 0; s < n_stages; ++s) {
         workers.emplace_back([&, s] {
           auto& in = *buffers[s];
           auto& out = *buffers[s + 1];
-          while (auto item = in.pop()) (void)out.push(stages_[s](*item));
+          try {
+            // A refused push means a later stage failed: stop too.
+            while (auto item = in.pop())
+              if (!out.push(stages_[s](*item))) break;
+          } catch (...) {
+            std::lock_guard lk(error_m);
+            if (!error) error = std::current_exception();
+          }
+          // Closing both sides lets the later stages drain what they hold
+          // and makes the earlier ones' next push fail, so after a failure
+          // every stage finishes.
+          in.close();
           out.close();
         });
       }
@@ -56,9 +73,11 @@ class Pipeline {
         while (auto item = buffers[n_stages]->pop())
           outputs.push_back(std::move(*item));
       });
-      for (const T& item : inputs) (void)buffers[0]->push(item);
+      for (const T& item : inputs)
+        if (!buffers[0]->push(item)) break;
       buffers[0]->close();
     }  // join all
+    if (error) std::rethrow_exception(error);
     return outputs;
   }
 

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "pdc/core/team.hpp"
 #include "pdc/life/packed_grid.hpp"
 #include "pdc/life/stencil_workload.hpp"
 #include "pdc/mp/comm.hpp"
@@ -102,12 +103,25 @@ stencil::RunResult run_plan(Grid& board, int generations,
   // One rank: the local engine, no communicator (and no traffic).
   if (messages_out != nullptr) *messages_out = 0;
   if (payload_words_out != nullptr) *payload_words_out = 0;
-  PackedGrid cur(board);
+  // The conversions in and out run on the plan's team as well, each
+  // thread on its block of rows.
+  const auto by_rows = [&](const auto& convert) {
+    core::Team::run(plan.threads_per_rank, [&](core::TeamContext& tc) {
+      const auto [lo, hi] = tc.block_range(0, board.rows());
+      convert(lo, hi);
+    });
+  };
+  PackedGrid cur(board.rows(), board.cols(), board.boundary());
+  by_rows([&](std::size_t lo, std::size_t hi) {
+    cur.load_rows(board, 0, lo, hi);
+  });
   PackedGrid nxt(board.rows(), board.cols(), board.boundary());
   LifeWorkload w;
   const stencil::RunResult res =
       stencil::run(w, cur, nxt, plan, engine_opts(opt, generations));
-  cur.store_rows(board, 0);
+  by_rows([&](std::size_t lo, std::size_t hi) {
+    cur.store_rows(board, 0, lo, hi);
+  });
   return res;
 }
 

@@ -55,15 +55,23 @@ class PackedGrid {
   /// Convert back to the public byte representation.
   [[nodiscard]] Grid unpack() const;
 
-  /// Pack rows [first, first + rows()) of `grid` into this board's rows,
-  /// overwriting their payload words whole: a cell is bit 0 of its byte,
-  /// and the padding bits come out 0. Ghost bits need a re-sync
-  /// afterwards. Throws std::invalid_argument, touching nothing, if the
-  /// column counts differ or the rows run past the end of `grid`.
-  void load_rows(const Grid& grid, std::size_t first);
-  /// Unpack this board's rows into rows [first, first + rows()) of `grid`,
-  /// each cell as a byte of 0 or 1; throws like load_rows.
-  void store_rows(Grid& grid, std::size_t first) const;
+  /// The default row_end of load_rows/store_rows: through rows().
+  static constexpr std::size_t kAllRows = static_cast<std::size_t>(-1);
+
+  /// Row r of this board stands for row first + r of `grid`. Pack rows
+  /// [row_begin, row_end) of this board (by default all of them) from
+  /// their grid rows, overwriting their payload words whole: a cell is
+  /// bit 0 of its byte, and the padding bits come out 0. Ghost bits need a
+  /// re-sync afterwards. Calls on disjoint row ranges may run at once.
+  /// Throws std::invalid_argument, touching nothing, if the column counts
+  /// differ, rows [first, first + rows()) run past the end of `grid`, or
+  /// the range is not within [0, rows()).
+  void load_rows(const Grid& grid, std::size_t first,
+                 std::size_t row_begin = 0, std::size_t row_end = kAllRows);
+  /// Unpack rows [row_begin, row_end) of this board into their rows of
+  /// `grid`, each cell as a byte of 0 or 1; throws like load_rows.
+  void store_rows(Grid& grid, std::size_t first, std::size_t row_begin = 0,
+                  std::size_t row_end = kAllRows) const;
 
   [[nodiscard]] std::size_t rows() const { return rows_; }
   [[nodiscard]] std::size_t cols() const { return cols_; }

@@ -42,24 +42,34 @@ struct LifeWorkload {
     if (!external_halo) f.sync_halo_rows();
   }
 
+  /// A tile that spans its rows owns both ends of each, so it re-syncs
+  /// their ghost bits itself, on the thread that computed it.
   double step_tile(const Field& src, Field& dst,
                    const stencil::TileBounds& b) const {
-    return src.step_tile_into(dst, b.r0, b.r1, b.c0, b.c1) ? 1.0 : 0.0;
+    const bool changed = src.step_tile_into(dst, b.r0, b.r1, b.c0, b.c1);
+    if (b.c0 == 0 && b.c1 == dst.words_per_row())
+      dst.sync_row_ghosts(b.r0, b.r1);
+    return changed ? 1.0 : 0.0;
   }
 
-  /// Re-sync the ghost bits of every row that got fresh words this step.
+  /// Re-sync the ghost bits of every row split across several tiles that
+  /// got fresh words this step: its two ends may be computed by different
+  /// threads at once, so only here, after the step, are both final.
   /// Skipped tiles' words provably hold current values (tile.hpp), so a
   /// partially recomputed row still yields correct ghosts; fully skipped
   /// rows keep the consistent ghosts of their last sync in this buffer.
+  /// Then copy the wrap halo rows, ghosts included, from the edge rows.
   void finish_step(Field& dst, const stencil::TileMap& tm,
                    const std::vector<std::uint8_t>& computed) const {
-    for (std::size_t ty = 0; ty < tm.tiles_y(); ++ty) {
-      bool any = false;
-      for (std::size_t tx = 0; tx < tm.tiles_x(); ++tx)
-        any = any || computed[tm.index(ty, tx)] != 0;
-      if (any) {
-        const stencil::TileBounds b = tm.bounds(tm.index(ty, 0));
-        dst.sync_row_ghosts(b.r0, b.r1);
+    if (tm.tiles_x() > 1) {
+      for (std::size_t ty = 0; ty < tm.tiles_y(); ++ty) {
+        bool any = false;
+        for (std::size_t tx = 0; tx < tm.tiles_x(); ++tx)
+          any = any || computed[tm.index(ty, tx)] != 0;
+        if (any) {
+          const stencil::TileBounds b = tm.bounds(tm.index(ty, 0));
+          dst.sync_row_ghosts(b.r0, b.r1);
+        }
       }
     }
     if (!external_halo) dst.sync_halo_rows();

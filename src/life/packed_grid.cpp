@@ -258,14 +258,20 @@ std::size_t padded_size(std::size_t rows, std::size_t cols) {
   return (rows + 2) * stride;
 }
 
-/// The byte rows load_rows/store_rows touch: rows [first, first + rows)
-/// of `grid`, which must be `cols` wide.
-void check_span(const Grid& grid, std::size_t first, std::size_t rows,
-                std::size_t cols) {
+/// The byte rows a board of `rows` x `cols` stands for, [first, first +
+/// rows) of `grid`, must exist, and [row_begin, row_end) (row_end
+/// kAllRows: rows) must be a range of its rows. Returns the range's end.
+std::size_t check_span(const Grid& grid, std::size_t first, std::size_t rows,
+                       std::size_t cols, std::size_t row_begin,
+                       std::size_t row_end) {
   if (grid.cols() != cols)
     throw std::invalid_argument("packed/byte grid column count mismatch");
   if (first > grid.rows() || grid.rows() - first < rows)
     throw std::invalid_argument("packed rows run past the byte grid");
+  if (row_end == PackedGrid::kAllRows) row_end = rows;
+  if (row_begin > row_end || row_end > rows)
+    throw std::invalid_argument("packed row range out of bounds");
+  return row_end;
 }
 
 }  // namespace
@@ -294,10 +300,11 @@ Grid PackedGrid::unpack() const {
 // a per-cell loop for the last cols % 8; whole-word stores leave the
 // padding bits 0. Both loops bound by locals: the compiler must assume the
 // stores through `dst` may alias cols_ and words_ and would reload them.
-void PackedGrid::load_rows(const Grid& grid, std::size_t first) {
-  check_span(grid, first, rows_, cols_);
+void PackedGrid::load_rows(const Grid& grid, std::size_t first,
+                           std::size_t row_begin, std::size_t row_end) {
+  row_end = check_span(grid, first, rows_, cols_, row_begin, row_end);
   const std::size_t cols = cols_, words = words_;
-  for (std::size_t r = 0; r < rows_; ++r) {
+  for (std::size_t r = row_begin; r < row_end; ++r) {
     const std::uint8_t* src = grid.row_data(first + r);
     std::uint64_t* dst = row_words(r);
     for (std::size_t w = 0; w < words; ++w) {
@@ -312,10 +319,11 @@ void PackedGrid::load_rows(const Grid& grid, std::size_t first) {
   }
 }
 
-void PackedGrid::store_rows(Grid& grid, std::size_t first) const {
-  check_span(grid, first, rows_, cols_);
+void PackedGrid::store_rows(Grid& grid, std::size_t first,
+                            std::size_t row_begin, std::size_t row_end) const {
+  row_end = check_span(grid, first, rows_, cols_, row_begin, row_end);
   const std::size_t cols = cols_, words = words_;
-  for (std::size_t r = 0; r < rows_; ++r) {
+  for (std::size_t r = row_begin; r < row_end; ++r) {
     const std::uint64_t* src = row_words(r);
     std::uint8_t* dst = grid.row_data(first + r);
     for (std::size_t w = 0; w < words; ++w) {

@@ -1,5 +1,6 @@
 #include "pdc/sync/barrier.hpp"
 
+#include <chrono>
 #include <stdexcept>
 #include <thread>
 
@@ -10,33 +11,57 @@ CyclicBarrier::CyclicBarrier(std::size_t parties) : parties_(parties) {
 }
 
 std::size_t CyclicBarrier::arrive_and_wait() {
-  std::unique_lock lk(m_);
-  if (broken_) throw BrokenBarrierError();
-  const std::size_t my_phase = phase_;
-  if (++waiting_ == parties_) {
-    waiting_ = 0;
-    ++phase_;
-    lk.unlock();
-    cv_.notify_all();
+  std::size_t my_phase = 0;
+  bool last = false;
+  {
+    std::lock_guard lk(m_);
+    if (broken_.load(std::memory_order_relaxed)) throw BrokenBarrierError();
+    my_phase = phase_.load(std::memory_order_relaxed);
+    last = ++waiting_ == parties_;
+    if (last) {
+      waiting_ = 0;
+      // Release: a poller that reads the new phase sees every write made
+      // before any arrival (each arrival's unlock precedes this store).
+      phase_.store(my_phase + 1, std::memory_order_release);
+    }
+  }
+  if (last) {
+    cv_.notify_all();  // no syscall unless a waiter has parked
     return my_phase;
   }
-  cv_.wait(lk, [&] { return broken_ || phase_ != my_phase; });
-  // Woken by break_barrier() rather than a completed phase.
-  if (phase_ == my_phase) throw BrokenBarrierError();
+  const auto released = [&] {
+    return phase_.load(std::memory_order_acquire) != my_phase ||
+           broken_.load(std::memory_order_acquire);
+  };
+  // Poll, yielding every few polls so a teammate that shares this CPU
+  // still gets to arrive; park once the budget is spent.
+  constexpr unsigned kPollsPerYield = 4;
+  const auto deadline = std::chrono::steady_clock::now() + kSpinBudget;
+  for (unsigned polls = 1; !released(); ++polls) {
+    if (polls % kPollsPerYield != 0) continue;
+    if (std::chrono::steady_clock::now() >= deadline) {
+      std::unique_lock lk(m_);
+      cv_.wait(lk, released);
+      break;
+    }
+    std::this_thread::yield();
+  }
+  // Released by break_barrier() rather than a completed phase.
+  if (phase_.load(std::memory_order_acquire) == my_phase)
+    throw BrokenBarrierError();
   return my_phase;
 }
 
 void CyclicBarrier::break_barrier() {
   {
     std::lock_guard lk(m_);
-    broken_ = true;
+    broken_.store(true, std::memory_order_release);
   }
   cv_.notify_all();
 }
 
 bool CyclicBarrier::broken() const {
-  std::lock_guard lk(m_);
-  return broken_;
+  return broken_.load(std::memory_order_acquire);
 }
 
 SenseBarrier::SenseBarrier(std::size_t parties)

@@ -1,9 +1,13 @@
 #pragma once
-// Reusable synchronization barriers. The threaded Game of Life engine uses
-// one barrier per generation; CS87 contrasts the centralized (condvar)
-// barrier with the sense-reversing spinning barrier.
+// Reusable synchronization barriers. The threaded Game of Life engine
+// crosses two per generation. CS87 contrasts blocking with spinning: the
+// centralized CyclicBarrier polls for a bounded time and then parks on a
+// condvar (two-phase waiting), while the sense-reversing and
+// dissemination barriers spin until released, the low-latency choice
+// only when every party has a core of its own.
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -20,11 +24,17 @@ class BrokenBarrierError : public std::runtime_error {
   BrokenBarrierError() : std::runtime_error("barrier broken") {}
 };
 
-/// Centralized reusable barrier on mutex + condition variable.
+/// Centralized reusable barrier: a mutex-guarded arrival count and an
+/// atomic phase number.
 ///
 /// `arrive_and_wait()` blocks until `parties` threads have arrived; the
-/// barrier then resets for the next phase (generation counter prevents a
-/// fast thread from lapping a slow one).
+/// barrier then resets for the next phase (the phase number prevents a
+/// fast thread from lapping a slow one). A waiter first polls the phase
+/// for up to kSpinBudget, yielding its CPU every few polls, and only then
+/// parks on a condition variable. The poll catches the short waits of a
+/// stencil step without the tens of microseconds a futex wake-up costs;
+/// the yields and the time bound keep an oversubscribed team, whose late
+/// party may need the waiter's CPU, from burning it.
 ///
 /// A barrier can be *broken* (break_barrier()) when one participant will
 /// never arrive — e.g. it threw out of its SPMD body. Current and future
@@ -47,13 +57,18 @@ class CyclicBarrier {
 
   [[nodiscard]] std::size_t parties() const { return parties_; }
 
+  /// How long a waiter polls before it parks.
+  static constexpr std::chrono::microseconds kSpinBudget{100};
+
  private:
   const std::size_t parties_;
-  mutable std::mutex m_;
+  std::mutex m_;
   std::condition_variable cv_;
-  std::size_t waiting_ = 0;
-  std::size_t phase_ = 0;
-  bool broken_ = false;
+  std::size_t waiting_ = 0;  // guarded by m_
+  // Written under m_, so a parked waiter cannot miss a change; read
+  // without it by polling waiters.
+  std::atomic<std::size_t> phase_{0};
+  std::atomic<bool> broken_{false};
 };
 
 /// Sense-reversing spinning barrier: no syscalls, just atomics — the

@@ -842,6 +842,37 @@ TEST(Pipeline, EmptyInputAndReuse) {
   EXPECT_EQ(pipe.run({42}), (std::vector<int>{42}));  // reusable
 }
 
+// A stage that throws on the item 3, for the failure tests below.
+int throw_on_three(int x) {
+  if (x == 3) throw std::runtime_error("stage failed on item 3");
+  return x;
+}
+
+TEST(Pipeline, ThrowingStageRethrowsFromRunAndStaysReusable) {
+  pc::Pipeline<int> pipe({throw_on_three}, 2);
+  std::vector<int> in(100);
+  std::iota(in.begin(), in.end(), 0);
+  EXPECT_THROW((void)pipe.run(in), std::runtime_error);
+  EXPECT_EQ(pipe.run({5, 6, 7}), (std::vector<int>{5, 6, 7}));
+}
+
+TEST(Pipeline, ThrowingMiddleStageDrainsBothNeighbours) {
+  // Capacity 1 keeps the first stage blocked on a full buffer and the last
+  // one waiting on an empty one when the middle stage fails.
+  pc::Pipeline<int> pipe(
+      {[](int x) { return x; }, throw_on_three, [](int x) { return x * 2; }},
+      1);
+  std::vector<int> in(200);
+  std::iota(in.begin(), in.end(), 0);
+  try {
+    (void)pipe.run(in);
+    ADD_FAILURE() << "run() must rethrow the stage's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "stage failed on item 3");
+  }
+  EXPECT_EQ(pipe.run({4, 5}), (std::vector<int>{8, 10}));
+}
+
 TEST(Pipeline, RejectsBadConfig) {
   EXPECT_THROW(pc::Pipeline<int>({}, 4), std::invalid_argument);
   EXPECT_THROW(pc::Pipeline<int>({[](int x) { return x; }}, 0),

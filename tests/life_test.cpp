@@ -227,12 +227,16 @@ TEST(PackedGrid, RoundTripsThroughByteGridOnAwkwardShapes) {
     if (rows < 2) continue;
     // Rows [1, rows) at an offset, into a board that starts all alive: a
     // load_rows that ORs without zeroing first would keep stale cells.
+    // Each way in two row ranges, as run_plan's team converts.
     pl::PackedGrid strip(rows - 1, cols);
     for (std::size_t r = 0; r < strip.rows(); ++r)
       for (std::size_t c = 0; c < cols; ++c) strip.set(r, c, true);
-    strip.load_rows(g, 1);
+    const std::size_t half = strip.rows() / 2;
+    strip.load_rows(g, 1, half);
+    strip.load_rows(g, 1, 0, half);
     pl::Grid back(rows, cols);
-    strip.store_rows(back, 1);
+    strip.store_rows(back, 1, 0, half);
+    strip.store_rows(back, 1, half);
     for (std::size_t c = 0; c < cols; ++c) ASSERT_FALSE(back.get(0, c));
     for (std::size_t r = 1; r < rows; ++r)
       for (std::size_t c = 0; c < cols; ++c)
@@ -314,6 +318,15 @@ TEST(PackedGrid, SetGetAndBounds) {
   store_throws(wide, 0);
   store_throws(tall, 3);
   store_throws(tall, 6);
+  // A row range must lie within the board's rows, in order.
+  EXPECT_THROW(p.load_rows(tall, 0, 2, 1), std::invalid_argument);
+  EXPECT_THROW(p.load_rows(tall, 0, 0, 4), std::invalid_argument);
+  EXPECT_THROW(p.load_rows(tall, 0, 4), std::invalid_argument);
+  EXPECT_TRUE(p == p_before);
+  pl::Grid tall_out = tall;
+  EXPECT_THROW(p.store_rows(tall_out, 0, 2, 1), std::invalid_argument);
+  EXPECT_THROW(p.store_rows(tall_out, 0, 0, 4), std::invalid_argument);
+  EXPECT_EQ(tall_out, tall);
   // The largest legal offset works both ways.
   p.load_rows(tall, 2);
   pl::Grid out(5, 70);

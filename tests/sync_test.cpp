@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
@@ -384,28 +385,45 @@ TEST(CyclicBarrier, RejectsZeroParties) {
   EXPECT_THROW((void)ps::CyclicBarrier(0), std::invalid_argument);
 }
 
-TEST(CyclicBarrier, SynchronizesPhases) {
-  constexpr int kThreads = 4;
+namespace {
+
+// Phase-ordering violations seen by `threads` threads crossing one
+// CyclicBarrier 50 times: after each crossing, every thread must have
+// finished the phase.
+int cyclic_barrier_violations(int threads) {
   constexpr int kPhases = 50;
-  ps::CyclicBarrier barrier(kThreads);
+  ps::CyclicBarrier barrier(static_cast<std::size_t>(threads));
   std::vector<std::atomic<int>> phase_done(kPhases);
   for (auto& p : phase_done) p = 0;
   std::atomic<int> violations{0};
   {
-    std::vector<std::jthread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&] {
+    std::vector<std::jthread> members;
+    for (int t = 0; t < threads; ++t) {
+      members.emplace_back([&] {
         for (int ph = 0; ph < kPhases; ++ph) {
           phase_done[static_cast<std::size_t>(ph)].fetch_add(1);
           barrier.arrive_and_wait();
-          // After the barrier, every thread must have finished the phase.
-          if (phase_done[static_cast<std::size_t>(ph)].load() != kThreads)
+          if (phase_done[static_cast<std::size_t>(ph)].load() != threads)
             violations.fetch_add(1);
         }
       });
     }
   }
-  EXPECT_EQ(violations.load(), 0);
+  return violations.load();
+}
+
+}  // namespace
+
+TEST(CyclicBarrier, SynchronizesPhases) {
+  EXPECT_EQ(cyclic_barrier_violations(4), 0);
+}
+
+TEST(CyclicBarrier, SynchronizesPhasesOversubscribed) {
+  // More parties than CPUs: a waiter's polling must leave the CPU to the
+  // parties that have yet to arrive.
+  const auto hc = std::max(1u, std::thread::hardware_concurrency());
+  const auto parties = static_cast<int>(std::min(16u, 4 * hc));
+  EXPECT_EQ(cyclic_barrier_violations(parties), 0);
 }
 
 TEST(CyclicBarrier, ReturnsMatchingPhaseNumbers) {
@@ -441,6 +459,32 @@ TEST(CyclicBarrier, BreakReleasesWaitersAndPoisonsFutureArrivals) {
   EXPECT_TRUE(barrier.broken());
   // Late arrivals fail fast rather than waiting on a dead phase.
   EXPECT_THROW(barrier.arrive_and_wait(), ps::BrokenBarrierError);
+}
+
+TEST(CyclicBarrier, BreakReleasesWaitersStillPolling) {
+  // No sleep before the break: it lands within the waiters' polling
+  // budget, before they park (or, in some rounds, before they arrive).
+  for (int round = 0; round < 100; ++round) {
+    ps::CyclicBarrier barrier(3);
+    std::atomic<int> arriving{0};
+    std::atomic<int> broken_count{0};
+    {
+      std::vector<std::jthread> waiters;
+      for (int t = 0; t < 2; ++t) {
+        waiters.emplace_back([&] {
+          arriving.fetch_add(1);
+          try {
+            barrier.arrive_and_wait();  // party 3 never arrives
+          } catch (const ps::BrokenBarrierError&) {
+            broken_count.fetch_add(1);
+          }
+        });
+      }
+      while (arriving.load() < 2) std::this_thread::yield();
+      barrier.break_barrier();
+    }
+    ASSERT_EQ(broken_count.load(), 2) << "round " << round;
+  }
 }
 
 TEST(CyclicBarrier, BreakBeforeAnyArrivalFailsFast) {
