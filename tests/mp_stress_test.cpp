@@ -8,10 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -289,17 +295,49 @@ TEST(FuzzerSelfTest, CatchesShrinksAndReportsABuggyBody) {
   // A deliberately buggy body: gives the wrong answer whenever the plan
   // drops aggressively. The fuzzer must catch it, shrink the plan down
   // to the one dimension that matters (drop), and emit a usable repro.
+  // The failing plan's repro line must be out before the first shrink
+  // replay, since a replay may hang past the test's timeout: the body
+  // reads the artifact file back when a replay reaches it.
+  const char* prev_artifact = std::getenv("PDC_FUZZ_ARTIFACT");
+  const bool had_artifact = prev_artifact != nullptr;
+  const std::string prev_value = had_artifact ? prev_artifact : "";
+  const std::string artifact = ::testing::TempDir() + "pdc_fuzz_self_test_" +
+                               std::to_string(::getpid()) + ".txt";
+  std::remove(artifact.c_str());
+  ::setenv("PDC_FUZZ_ARTIFACT", artifact.c_str(), 1);
+  const auto repro_lines = [&] {
+    std::ifstream f(artifact);
+    int n = 0;
+    for (std::string line; std::getline(f, line);)
+      n += line.find("[pdc-fuzz] REPRO") == 0 ? 1 : 0;
+    return n;
+  };
+  std::atomic<int> failing_runs{0};
+  std::atomic<int> lines_at_first_replay{-1};
   pt::FuzzOptions opt;
   opt.ranks = 2;
   opt.iterations = 60;
   opt.base_seed = 0xBADBEEFULL;
   opt.allow_kill = false;  // keep the failure purely answer-mismatch
-  const auto buggy = [](mp::RankContext& ctx) -> std::vector<std::int64_t> {
-    if (ctx.fault_plan().drop > 0.2) return {999};  // the "bug"
+  const auto buggy = [&](mp::RankContext& ctx) -> std::vector<std::int64_t> {
+    if (ctx.fault_plan().drop > 0.2) {  // the "bug"
+      if (ctx.rank() == 0 && failing_runs.fetch_add(1) == 1)
+        lines_at_first_replay = repro_lines();
+      return {999};
+    }
     return {ctx.allreduce(ctx.rank(), mp::ReduceOp::kSum)};
   };
   const auto report = pt::fuzz_spmd(opt, buggy);
+  const int lines_at_end = repro_lines();
+  std::remove(artifact.c_str());
+  if (had_artifact)
+    ::setenv("PDC_FUZZ_ARTIFACT", prev_value.c_str(), 1);
+  else
+    ::unsetenv("PDC_FUZZ_ARTIFACT");
   ASSERT_FALSE(report.ok) << "the fuzzer must find the injected bug";
+  EXPECT_EQ(lines_at_first_replay.load(), 1)
+      << "the failing plan's repro line must precede the shrink";
+  EXPECT_EQ(lines_at_end, 2) << "then one line for the shrunk plan";
   EXPECT_GT(report.plan.drop, 0.2) << "shrink must keep the triggering dim";
   EXPECT_EQ(report.plan.dup, 0.0) << "shrink must zero the irrelevant dims";
   EXPECT_FALSE(report.plan.reorder);
