@@ -168,10 +168,10 @@ void print_tiling_shape_study(pdc::benchutil::Options& bopt) {
 }
 
 /// The hybrid ladder: the same 8 cores sliced as 8x1 (pure message
-/// passing), 4x2, 2x4, and 1x8 (pure shared memory), with the halo
-/// exchange overlapped against interior tiles or fully serialized.
-/// Results are bit-identical down every row (asserted in stencil_test);
-/// this table prices the shapes and the overlap.
+/// passing), 4x2, 2x4, and 1x8 (pure shared memory), each strip rank
+/// receiving its halo while its team computes interior tiles. Results
+/// are bit-identical down every row (asserted in stencil_test); this
+/// table prices the shapes.
 void print_hybrid_ladder(pdc::benchutil::Options& bopt) {
   const std::size_t rows = bopt.smoke ? 512 : 1024;
   const std::size_t cols = bopt.smoke ? 1024 : 2048;
@@ -181,11 +181,10 @@ void print_hybrid_ladder(pdc::benchutil::Options& bopt) {
   opt.tile_rows = 32;
   opt.tile_words = 4;
 
-  pdc::perf::Table t(
-      {"plan (ranks x threads)", "halo schedule", "ms", "halo words"});
-  const auto add = [&](int ranks, int threads, ps::HaloSchedule sched) {
-    const ps::ExecPlan plan{
-        .ranks = ranks, .threads_per_rank = threads, .schedule = sched};
+  pdc::perf::Table t({"plan (ranks x threads)", "ms", "halo words"});
+  constexpr std::pair<int, int> kLadder[] = {{8, 1}, {4, 2}, {2, 4}, {1, 8}};
+  for (const auto& [ranks, threads] : kLadder) {
+    const ps::ExecPlan plan{.ranks = ranks, .threads_per_rank = threads};
     ps::RunResult res;
     const double ms = pdc::perf::time_best_of(3, [&] {
                         pl::Grid board = start;
@@ -194,23 +193,15 @@ void print_hybrid_ladder(pdc::benchutil::Options& bopt) {
                       }) *
                       1e3;
     t.add_row({std::to_string(ranks) + " x " + std::to_string(threads),
-               ranks > 1
-                   ? (sched == ps::HaloSchedule::kOverlap ? "overlap"
-                                                          : "serial")
-                   : "n/a",
                pdc::perf::fmt(ms, 1), std::to_string(res.halo_words)});
-  };
-  constexpr std::pair<int, int> kLadder[] = {{8, 1}, {4, 2}, {2, 4}, {1, 8}};
-  for (const auto& [ranks, threads] : kLadder) {
-    add(ranks, threads, ps::HaloSchedule::kOverlap);
-    if (ranks > 1) add(ranks, threads, ps::HaloSchedule::kSerial);
   }
   std::cout << "== stencil: hybrid ladder, 8 cores as ranks x threads ("
             << rows << "x" << cols << " torus soup, " << gens
-            << " gens; overlap vs serial halo schedule) ==\n"
+            << " gens) ==\n"
             << t.str()
-            << "(every row computes the bit-identical board; the overlap "
-               "rows hide the halo exchange behind interior tiles)\n\n";
+            << "(every row computes the bit-identical board; each strip "
+               "rank receives its halo while its team computes interior "
+               "tiles)\n\n";
   bopt.add_json_table("hybrid ladder", t);
 }
 

@@ -60,8 +60,8 @@ stencil::RunResult run_message_passing(Grid& board, int generations,
 /// generations, and the conversion into and out of the packed board
 /// split into T blocks of rows, one per thread. More ranks run
 /// plan.ranks row strips as one in-process world (stencil::run_world),
-/// with plan.threads_per_rank threads advancing each strip's tiles and
-/// the halo exchange scheduled per plan.schedule. shm/tcp worlds are
+/// with plan.threads_per_rank threads advancing each strip's tiles, its
+/// interior while the halo is received. shm/tcp worlds are
 /// launched through mp::launch::run_spmd instead. Every shape is
 /// bit-identical to the reference; the result carries the stencil
 /// engine's skip accounting (tiles computed/skipped per run).

@@ -112,7 +112,6 @@ struct CommState : public Transport::Sink {
 
   int size;
   FaultPlan plan;
-  RetryPolicy retry;
   /// The frame mover below this protocol state. Owned by the
   /// Communicator; always outlives the state's use of it.
   Transport* transport = nullptr;
@@ -455,18 +454,12 @@ Communicator::Communicator(const TransportOptions& topt) : size_(topt.world) {
   st_->transport = transport_.get();
   local_rank_ = topt.rank;
   // start() happens in run(): every rank must reach the rendezvous, and
-  // fault plans / retry policies are still settable until then.
+  // fault plans are still settable until then.
 }
 
 void Communicator::set_fault_plan(FaultPlan plan) { st_->plan = plan; }
 
 const FaultPlan& Communicator::fault_plan() const { return st_->plan; }
-
-void Communicator::set_retry_policy(RetryPolicy policy) {
-  st_->retry = policy;
-}
-
-const RetryPolicy& Communicator::retry_policy() const { return st_->retry; }
 
 TrafficStats Communicator::traffic() const { return st_->traffic_snapshot(); }
 
@@ -700,14 +693,26 @@ bool RankContext::peer_running(int rank) const {
   return comm_->st_->rank_state[rank].load() == detail::kRunning;
 }
 
+namespace {
+// Reliable-channel retransmission. The transport ack is generated at
+// delivery time, so backoff waits are only paid when the fault plan
+// actually eats or delays a message.
+constexpr std::chrono::microseconds kInitialBackoff{200};
+constexpr int kBackoffFactor = 2;
+constexpr std::chrono::microseconds kMaxBackoff{5000};
+/// Give up and throw RankFailedError after this long without an ack from
+/// a peer that is not known to be dead.
+constexpr std::chrono::milliseconds kGiveUp{5000};
+}  // namespace
+
 void RankContext::reliable_send(int dest, int tag,
                                 std::vector<std::int64_t> data) {
   auto& st = *comm_->st_;
   if (dest < 0 || dest >= st.size) throw std::out_of_range("bad destination");
   const std::uint64_t seq = ++send_seq_[static_cast<std::size_t>(dest)];
   detail::Mailbox& mybox = *st.boxes[static_cast<std::size_t>(rank_)];
-  const auto deadline = std::chrono::steady_clock::now() + st.retry.give_up;
-  auto backoff = st.retry.initial_backoff;
+  const auto deadline = std::chrono::steady_clock::now() + kGiveUp;
+  auto backoff = kInitialBackoff;
   for (int attempt = 0;; ++attempt) {
     {
       const int ds = st.rank_state[dest].load();
@@ -753,7 +758,7 @@ void RankContext::reliable_send(int dest, int tag,
         }
       }
     }
-    backoff = std::min(backoff * st.retry.backoff_factor, st.retry.max_backoff);
+    backoff = std::min(backoff * kBackoffFactor, kMaxBackoff);
     if (std::chrono::steady_clock::now() > deadline)
       throw RankFailedError(dest, "send to rank " + std::to_string(dest) +
                                       ": no ack within retry budget (plan " +

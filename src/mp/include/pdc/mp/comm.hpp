@@ -356,10 +356,6 @@ class Communicator {
   void set_fault_plan(FaultPlan plan);
   [[nodiscard]] const FaultPlan& fault_plan() const;
 
-  /// Tune the reliable channel's retransmission behavior (before run).
-  void set_retry_policy(RetryPolicy policy);
-  [[nodiscard]] const RetryPolicy& retry_policy() const;
-
   /// Launch all local ranks, wait for completion. Exceptions from any
   /// local rank are rethrown after all threads join — root-cause
   /// (non-RankFailedError) exceptions first by rank order; a fault-plan

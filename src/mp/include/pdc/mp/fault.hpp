@@ -15,7 +15,6 @@
 // a clean RankFailedError — never a hang, never a wrong answer.
 // Rank-kill applies to the whole rank regardless of channel.
 
-#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -56,18 +55,6 @@ struct FaultPlan {
 
   /// Stable one-line rendering, printed in repro lines and error messages.
   [[nodiscard]] std::string describe() const;
-};
-
-/// Retransmission knobs for the reliable channel. The transport ack is
-/// generated at delivery time, so backoff waits are only paid when the
-/// fault plan actually eats or delays a message.
-struct RetryPolicy {
-  std::chrono::microseconds initial_backoff{200};
-  int backoff_factor = 2;
-  std::chrono::microseconds max_backoff{5000};
-  /// Give up and throw RankFailedError after this much time without an
-  /// ack from a peer that is not known to be dead.
-  std::chrono::milliseconds give_up{5000};
 };
 
 namespace detail {

@@ -54,7 +54,6 @@ struct LaunchOptions {
   int world = 2;
   TransportKind kind = TransportKind::kShm;
   FaultPlan plan;                 ///< forwarded to every rank
-  RetryPolicy retry;              ///< forwarded to every rank
   bool reliable = false;          ///< body runs with set_reliable(true)
   std::vector<std::string> args;  ///< forwarded to the body verbatim
   std::chrono::milliseconds timeout{30000};

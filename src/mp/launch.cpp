@@ -95,29 +95,9 @@ FaultPlan plan_from_flags(const std::string& s) {
 
 namespace {
 
-std::string retry_to_flags(const RetryPolicy& r) {
-  std::ostringstream ss;
-  ss << r.initial_backoff.count() << ',' << r.backoff_factor << ','
-     << r.max_backoff.count() << ',' << r.give_up.count();
-  return ss.str();
-}
-
-RetryPolicy retry_from_flags(const std::string& s) {
-  RetryPolicy r;
-  long long a = 0, c = 0, d = 0;
-  int b = 0;
-  if (std::sscanf(s.c_str(), "%lld,%d,%lld,%lld", &a, &b, &c, &d) != 4)
-    throw std::invalid_argument("bad retry flags: " + s);
-  r.initial_backoff = std::chrono::microseconds(a);
-  r.backoff_factor = b;
-  r.max_backoff = std::chrono::microseconds(c);
-  r.give_up = std::chrono::milliseconds(d);
-  return r;
-}
-
 int run_child(const std::string& body_name, const TransportOptions& topt,
-              const FaultPlan& plan, const RetryPolicy& retry, bool reliable,
-              const std::string& outpath, std::vector<std::string> args) {
+              const FaultPlan& plan, bool reliable, const std::string& outpath,
+              std::vector<std::string> args) {
   const auto it = registry().find(body_name);
   if (it == registry().end()) {
     std::fprintf(stderr, "pdc-spmd child: unknown body \"%s\"\n",
@@ -132,7 +112,6 @@ int run_child(const std::string& body_name, const TransportOptions& topt,
   try {
     comm.emplace(topt);
     comm->set_fault_plan(plan);
-    comm->set_retry_policy(retry);
     comm->run([&](RankContext& ctx) {
       if (reliable) ctx.set_reliable(true);
       it->second(ctx, io);
@@ -167,8 +146,7 @@ int run_child(const std::string& body_name, const TransportOptions& topt,
 }  // namespace
 
 bool maybe_run_child(int argc, char** argv) {
-  std::string body, transport = "shm", endpoint, outpath, plan_flags,
-                    retry_flags;
+  std::string body, transport = "shm", endpoint, outpath, plan_flags;
   int rank = 0, world = 1, reliable = 0;
   std::vector<std::string> args;
   bool is_child = false;
@@ -188,8 +166,7 @@ bool maybe_run_child(int argc, char** argv) {
     else if (const char* v6 = val(a, "--pdc-out=")) outpath = v6;
     else if (const char* v7 = val(a, "--pdc-reliable=")) reliable = std::atoi(v7);
     else if (const char* v8 = val(a, "--pdc-plan=")) plan_flags = v8;
-    else if (const char* v9 = val(a, "--pdc-retry=")) retry_flags = v9;
-    else if (const char* v10 = val(a, "--pdc-arg=")) args.emplace_back(v10);
+    else if (const char* v9 = val(a, "--pdc-arg=")) args.emplace_back(v9);
   }
   if (!is_child) return false;
   int code = 44;
@@ -201,9 +178,7 @@ bool maybe_run_child(int argc, char** argv) {
     topt.endpoint = endpoint;
     const FaultPlan plan =
         plan_flags.empty() ? FaultPlan{} : plan_from_flags(plan_flags);
-    const RetryPolicy retry =
-        retry_flags.empty() ? RetryPolicy{} : retry_from_flags(retry_flags);
-    code = run_child(body, topt, plan, retry, reliable != 0, outpath,
+    code = run_child(body, topt, plan, reliable != 0, outpath,
                      std::move(args));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "pdc-spmd child: %s\n", e.what());
@@ -224,7 +199,6 @@ LaunchResult run_inproc(const LaunchOptions& opt, SpmdBodyFn fn) {
   for (auto& io : ios) io.args = opt.args;
   Communicator comm(opt.world);
   comm.set_fault_plan(opt.plan);
-  comm.set_retry_policy(opt.retry);
   try {
     comm.run([&](RankContext& ctx) {
       if (opt.reliable) ctx.set_reliable(true);
@@ -289,7 +263,6 @@ LaunchResult run_spmd(const LaunchOptions& opt) {
         "--pdc-out=" + outpaths[static_cast<std::size_t>(r)],
         "--pdc-reliable=" + std::to_string(opt.reliable ? 1 : 0),
         "--pdc-plan=" + plan_to_flags(opt.plan),
-        "--pdc-retry=" + retry_to_flags(opt.retry),
     };
     for (const auto& a : opt.args) child_args.push_back("--pdc-arg=" + a);
     const pid_t pid = ::fork();

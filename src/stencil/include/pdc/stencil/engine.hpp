@@ -7,10 +7,10 @@
 // {R,1} — plus the capstone hybrid {R,T}: a core::Team of T threads
 // inside every rank, tile-stealing over that rank's strip, with the
 // packed halo exchange funneled through the team's rank-0 thread
-// (mp::Threading::kFunneled) and, by default, overlapped with interior
-// tile compute (HaloSchedule::kOverlap). Every shape runs the same step
-// loop — a single-threaded plan is a team of one — and run_world launches
-// every in-process multi-rank plan.
+// (mp::Threading::kFunneled) and received while the team computes the
+// interior tiles. Every shape runs the same step loop — a single-threaded
+// plan is a team of one — and run_world launches every in-process
+// multi-rank plan.
 //
 // The engine owns tiling (tile.hpp), double-buffer rotation, per-tile
 // dirty tracking (quiescent tiles are skipped without touching their
@@ -44,9 +44,9 @@
 // (exact skipping): a skipped tile's destination provably already holds
 // the value a full sweep would write. With quiesce_eps > 0 the skip set
 // is still deterministic and identical across all plans (same tile grid,
-// same flags), so every {R} x {T} x {schedule} x {steal} combination
-// stays bit-identical to the sequential run — grids, residuals, tile
-// counts, and halo wire words alike. Tests assert exactly this.
+// same flags), so every {R} x {T} combination stays bit-identical to the
+// sequential run — grids, residuals, tile counts, and halo wire words
+// alike. Tests assert exactly this.
 
 #include <algorithm>
 #include <atomic>
@@ -81,40 +81,16 @@ struct Options {
   const char* span_name = "stencil.step";
 };
 
-/// How a strip rank schedules its halo exchange against tile compute.
-/// It means the same at every thread count: kOverlap receives inside the
-/// step, kSerial in the serial section before it.
-enum class HaloSchedule {
-  /// Interior tiles (those not touching a halo row) run on the team
-  /// while the funnel thread receives the halo; boundary tiles run once
-  /// it lands. The exchange hides behind compute — the point of hybrid
-  /// execution, and what the bench ablation prices. A rank of one thread
-  /// receives first, then computes.
-  kOverlap,
-  /// The funnel thread completes the whole exchange before any tile is
-  /// computed (the ablation baseline; bit-identical to kOverlap).
-  kSerial,
-};
-
 /// The execution shape of a stencil run: how many message-passing ranks,
-/// how many threads inside each rank, and how each rank schedules and
-/// balances. {1,1} = sequential, {1,T} = shared-memory, {R,1} = message
-/// passing, {R,T} = hybrid (a core::Team per rank, comm funneled through
-/// each team's rank-0 thread). Every shape is bit-identical. run_world
-/// runs multi-rank plans in process; shm/tcp worlds are per-rank
-/// processes launched by mp::launch::run_spmd, each body calling the
-/// strip overload of run().
+/// and how many threads inside each rank. {1,1} = sequential, {1,T} =
+/// shared-memory, {R,1} = message passing, {R,T} = hybrid (a core::Team
+/// per rank, comm funneled through each team's rank-0 thread). Every
+/// shape is bit-identical. run_world runs multi-rank plans in process;
+/// shm/tcp worlds are per-rank processes launched by mp::launch::run_spmd,
+/// each body calling the strip overload of run().
 struct ExecPlan {
   int ranks = 1;
   int threads_per_rank = 1;
-  HaloSchedule schedule = HaloSchedule::kOverlap;
-  /// threads_per_rank > 1: drain the active tile list through per-worker
-  /// Chase–Lev deques and steal tiles from busy victims when dry
-  /// (default), instead of a fixed block partition of the list. Results
-  /// and tile accounting are identical either way — each active tile is
-  /// executed exactly once per step — so this is a pure load-balance
-  /// lever (the schedule-ablation bench prices it on clustered boards).
-  bool steal_tiles = true;
 };
 
 struct RunResult {
@@ -190,7 +166,7 @@ inline double allreduce_max(mp::RankContext& ctx, double v) {
 /// wire buffers, activity-flag staging, exact word accounting. Each step
 /// sends one message per neighbor — [activity flag words][packed halo
 /// row] — under tags 2s / 2s+1, so the wire format and word counts are
-/// identical across every thread count and schedule.
+/// identical across every thread count.
 template <class W>
 class HaloExchange {
  public:
@@ -287,23 +263,22 @@ class HaloExchange {
 /// runs inline on the caller. The per-step *active* tile list is
 /// distributed across a core::Team, so workers share the (possibly
 /// sparse) live region instead of owning fixed row strips that may be
-/// entirely quiescent.
-/// With plan.steal_tiles each worker drains its share of the list
-/// through its own Chase–Lev deque and steals tiles from busy victims
-/// when dry; otherwise the list is block-partitioned up front (the
-/// ablation baseline). Either way every active tile is executed exactly
-/// once per step, so grids and tile accounting are bit-identical across
-/// both modes and any thread count.
+/// entirely quiescent: each worker drains its contiguous share of the
+/// list through its own Chase–Lev deque and steals tiles from busy
+/// victims when dry. A team of one has nobody to balance with and runs
+/// its list in order. Every active tile is executed exactly once per
+/// step, so grids and tile accounting are bit-identical at any thread
+/// count.
 ///
 /// Strip plans funnel ALL communication through the team's rank-0
-/// thread (mp::Threading::kFunneled, asserted by RankContext). Under
-/// HaloSchedule::kOverlap the serial section sends the halo and seeds
-/// only the *interior* active tiles (those whose inputs are local); the
-/// team computes them while the funnel thread receives, unpacks, and
-/// dilates the neighbor flags into the edge tile rows — boundary tiles
-/// then flow to the workers either through the funnel's deque (steal
-/// mode: pushed while thieves drain, no extra barrier) or through an
-/// extra barrier-published phase (block mode).
+/// thread (mp::Threading::kFunneled, asserted by RankContext). The
+/// serial section sends the halo and seeds only the *interior* active
+/// tiles (those whose inputs are local); the team computes them while
+/// the funnel thread receives, unpacks, and dilates the neighbor flags
+/// into the edge tile rows, then pushes the boundary tiles onto its own
+/// deque, where thieves find them without another barrier. A team of
+/// one receives first, then runs its interior list and its boundary
+/// list in order.
 template <bool kStrip, class W>
 RunResult run_team(W& w, typename W::Field& cur, typename W::Field& nxt,
                    const ExecPlan& plan, const Options& opt,
@@ -319,22 +294,21 @@ RunResult run_team(W& w, typename W::Field& cur, typename W::Field& nxt,
   typename W::Field* bufs[2] = {&cur, &nxt};
   int src = 0;
   int step = 0;
-  std::vector<std::uint32_t> active_list;    // overlap: interior tiles only
-  std::vector<std::uint32_t> boundary_list;  // overlap: halo-dependent tiles
+  std::vector<std::uint32_t> active_list;    // strips: interior tiles only
+  std::vector<std::uint32_t> boundary_list;  // strips: halo-dependent tiles
   std::vector<std::uint8_t> computed(tm.count(), 0);
   std::vector<double> rank_delta(static_cast<std::size_t>(threads), 0.0);
   RunResult res;
   bool stop = opt.max_steps == 0;
 
-  const bool steal = plan.steal_tiles && threads > 1;
+  const bool steal = threads > 1;
   const auto nthreads = static_cast<std::size_t>(threads);
   std::vector<core::WorkStealingDeque<std::uint32_t>> deques(
       steal ? nthreads : 0);
-  // Overlap mode: set once the funnel thread has received the halo and
+  // Strips: set once the funnel thread has received the halo and
   // published the boundary tiles; preset when there is nothing to wait
   // for. Workers spin past empty deques until it flips.
   std::atomic<bool> halo_done{true};
-  const bool overlap = kStrip && plan.schedule == HaloSchedule::kOverlap;
 
   [[maybe_unused]] std::optional<HaloExchange<W>> halo;
   if constexpr (kStrip) halo.emplace(w, *ctx, links, tm, w.halo_words(cur));
@@ -362,31 +336,22 @@ RunResult run_team(W& w, typename W::Field& cur, typename W::Field& nxt,
   // Serial per-step prep (pre-loop on the home thread, then on the team's
   // rank-0 thread between steps): send this step's halo — the encoded
   // changed marks must be copied before advance() wipes them — advance
-  // the activity map, rebuild and reseed the work lists.
+  // the activity map, rebuild and reseed the work list. Interior
+  // activation never depends on the neighbor flags, so a strip's
+  // interior list is final here; its edge tile rows wait for the halo.
   const auto prep_step = [&] {
     std::fill(computed.begin(), computed.end(), 0);
     std::fill(rank_delta.begin(), rank_delta.end(), 0.0);
     boundary_list.clear();
-    if constexpr (kStrip) {
-      halo->send(*bufs[src], act, step, res);
-      if (overlap) {
-        // Local dilation only: interior activation never depends on the
-        // neighbor flags, so the interior work list is final here.
-        act.advance(nullptr, nullptr);
-      } else {
-        halo->recv(*bufs[src], step);
-        act.advance(halo->above(), halo->below());
-      }
-    } else {
-      act.advance();
-    }
+    if constexpr (kStrip) halo->send(*bufs[src], act, step, res);
+    act.advance();
     active_list.clear();
     for (std::uint32_t t = 0; t < tm.count(); ++t) {
-      if (overlap && edge_tile(t)) continue;  // waits for the halo
+      if (kStrip && edge_tile(t)) continue;
       if (want(t)) active_list.push_back(t);
     }
     if (steal) seed_deques();
-    halo_done.store(!overlap, std::memory_order_relaxed);
+    halo_done.store(!kStrip, std::memory_order_relaxed);
   };
   if (!stop) prep_step();
 
@@ -401,7 +366,7 @@ RunResult run_team(W& w, typename W::Field& cur, typename W::Field& nxt,
       if (funnel) ctx->set_threading(mp::Threading::kFunneled);
     }
     while (true) {
-      // Barrier A: the serial section's state (work lists, seeded
+      // Barrier A: the serial section's state (work list, seeded
       // deques, buffer flip, stop flag) is visible to every worker.
       tc.barrier();
       if (stop) break;
@@ -416,7 +381,7 @@ RunResult run_team(W& w, typename W::Field& cur, typename W::Field& nxt,
           if (d > local) local = d;
         };
         if constexpr (kStrip) {
-          if (overlap && funnel) {
+          if (funnel) {
             try {
               // Receive while the team chews the interior, then dilate
               // the neighbor flags into the edge tile rows and publish
@@ -425,13 +390,11 @@ RunResult run_team(W& w, typename W::Field& cur, typename W::Field& nxt,
               act.activate_edges(halo->above(), halo->below());
               for (std::uint32_t t = 0; t < tm.count(); ++t)
                 if (edge_tile(t) && want(t)) boundary_list.push_back(t);
-              if (steal) {
-                // Owner pushes race cleanly with thieves' steals; the
-                // release store orders them before any halo_done load.
-                for (const std::uint32_t t : boundary_list)
-                  deques[0].push(t);
-                halo_done.store(true, std::memory_order_release);
-              }
+              // Owner pushes race cleanly with thieves' steals; the
+              // release store orders them before any halo_done load.
+              if (steal)
+                for (const std::uint32_t t : boundary_list) deques[0].push(t);
+              halo_done.store(true, std::memory_order_release);
             } catch (...) {
               // A failed recv (e.g. RankFailedError from a killed peer)
               // must flip halo_done before unwinding: thieves spin on it
@@ -443,16 +406,8 @@ RunResult run_team(W& w, typename W::Field& cur, typename W::Field& nxt,
           }
         }
         if (!steal) {
-          const auto [lo, hi] = tc.block_range(0, active_list.size());
-          for (std::size_t i = lo; i < hi; ++i) exec_tile(active_list[i]);
-          if (overlap) {
-            // Barrier A2: the funnel's halo unpack + boundary list are
-            // visible; compute the boundary phase as a team.
-            tc.barrier();
-            const auto [blo, bhi] = tc.block_range(0, boundary_list.size());
-            for (std::size_t i = blo; i < bhi; ++i)
-              exec_tile(boundary_list[i]);
-          }
+          for (const std::uint32_t t : active_list) exec_tile(t);
+          for (const std::uint32_t t : boundary_list) exec_tile(t);
         } else {
           const auto me = static_cast<std::size_t>(tc.rank());
           auto& mine = deques[me];
@@ -539,13 +494,14 @@ RunResult run(W& w, typename W::Field& cur, typename W::Field& nxt,
 /// Unified engine, strip plans ({R,1} and hybrid {R,T}): call from
 /// inside an SPMD rank body with this rank's row strip in `cur`/`nxt`.
 /// Each step sends one message per neighbor — [activity flag words]
-/// [packed halo row] — then dilates the local activity map with the
-/// received neighbor flags, computes the active tiles on a core::Team of
-/// plan.threads_per_rank threads (comm funneled through the team's
-/// rank-0 thread), and (when convergence is enabled) allreduces the
-/// step's max delta. The strip's tile grid must be the global tile grid
-/// restricted to this rank's rows (partition on tile-row boundaries) so
-/// distributed skip decisions match the shared-memory engines exactly.
+/// [packed halo row] — and computes its interior active tiles on a
+/// core::Team of plan.threads_per_rank threads while the team's rank-0
+/// thread (the comm funnel) receives and dilates the neighbor flags into
+/// the edge tile rows, whose active tiles the team computes next. When
+/// convergence is enabled it then allreduces the step's max delta. The
+/// strip's tile grid must be the global tile grid restricted to this
+/// rank's rows (partition on tile-row boundaries) so distributed skip
+/// decisions match the shared-memory engines exactly.
 template <class W>
 RunResult run(W& w, typename W::Field& cur, typename W::Field& nxt,
               const ExecPlan& plan, const Options& opt, mp::RankContext& ctx,

@@ -21,8 +21,9 @@
 // Dilation starts from "everything changed", so step 0 is always a full
 // sweep and the invariant holds inductively. Strip execution (the
 // message-passing engine) replaces the row-wrap with externally supplied
-// per-tile-column flags from the neighboring ranks, which keeps the
-// distributed skip decisions identical to the shared-memory ones.
+// per-tile-column flags from the neighboring ranks (activate_edges()),
+// which keeps the distributed skip decisions identical to the
+// shared-memory ones.
 
 #include <cstddef>
 #include <cstdint>
@@ -78,7 +79,7 @@ class ActivityMap {
  public:
   /// wrap_rows / wrap_cols: dilate across the respective edges (torus).
   /// Strip execution passes wrap_rows = false and supplies neighbor
-  /// flags to advance() instead.
+  /// flags to activate_edges() instead.
   ActivityMap(const TileMap& tm, bool wrap_rows, bool wrap_cols);
 
   void mark_changed(std::size_t t, bool changed) {
@@ -93,22 +94,18 @@ class ActivityMap {
   }
   [[nodiscard]] std::size_t active_count() const;
 
-  /// active = 8-neighbor dilation of changed; changed is then cleared
-  /// for the next step's marks. `above` / `below` (when non-null) are
-  /// tiles_x() external changed flags for the tile row beyond the top /
-  /// bottom edge — the strip-execution replacement for the row wrap
-  /// (they win over wrap_rows). Null means "nothing beyond the edge
-  /// changed" (or the wrap applies, when wrap_rows is set).
-  void advance(const std::uint8_t* above = nullptr,
-               const std::uint8_t* below = nullptr);
+  /// active = 8-neighbor dilation of changed (across the row wrap when
+  /// wrap_rows is set); changed is then cleared for the next step's
+  /// marks.
+  void advance();
 
   /// OR the dilation contributed by external neighbor flags into an
   /// already-advanced active set: `above` / `below` are tiles_x()
   /// changed flags for the tile row beyond the top / bottom edge, null =
-  /// no neighbor. For a strip map (wrap_rows = false),
-  ///     advance(a, b)  ==  advance(nullptr, nullptr); activate_edges(a, b)
-  /// — the split the hybrid engine uses to fix the *interior* active set
-  /// before the halo arrives and fold the edge tile rows in afterwards.
+  /// no neighbor — the strip-execution replacement for the row wrap.
+  /// Only the first and last tile rows can change, so the strip engine
+  /// fixes the *interior* active set before the halo arrives and folds
+  /// the edge tile rows in afterwards.
   void activate_edges(const std::uint8_t* above, const std::uint8_t* below);
 
   /// Copy the changed flags of the top / bottom tile row (tiles_x()

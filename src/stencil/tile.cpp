@@ -53,17 +53,13 @@ bool ActivityMap::row_any(const std::uint8_t* row, std::size_t tx) const {
   return false;
 }
 
-void ActivityMap::advance(const std::uint8_t* above,
-                          const std::uint8_t* below) {
+void ActivityMap::advance() {
   // Row of changed flags one step beyond the top/bottom edge, as dilation
-  // sees it: external flags win, else the wrap row, else nothing.
+  // sees it: the wrap row (the map's own row when tiles_y() == 1), or
+  // nothing.
   const auto edge_row = [&](bool top) -> const std::uint8_t* {
-    const std::uint8_t* ext = top ? above : below;
-    if (ext != nullptr) return ext;
-    if (wrap_rows_ && tiles_y_ > 1)
-      return changed_.data() + (top ? (tiles_y_ - 1) * tiles_x_ : 0);
-    if (wrap_rows_ && tiles_y_ == 1) return changed_.data();  // self-wrap
-    return nullptr;
+    if (!wrap_rows_) return nullptr;
+    return changed_.data() + (top ? (tiles_y_ - 1) * tiles_x_ : 0);
   };
 
   for (std::size_t ty = 0; ty < tiles_y_; ++ty) {
@@ -83,10 +79,10 @@ void ActivityMap::advance(const std::uint8_t* above,
 
 void ActivityMap::activate_edges(const std::uint8_t* above,
                                  const std::uint8_t* below) {
-  // Mirrors advance()'s edge handling for a strip map: `above` dilates
-  // only into tile row 0, `below` only into the last tile row (the same
-  // row when tiles_y() == 1). Interior rows are untouched, which is what
-  // makes the advance/activate_edges split sound.
+  // `above` dilates only into tile row 0, `below` only into the last
+  // tile row (the same row when tiles_y() == 1). Interior rows are
+  // untouched, which is what makes the advance/activate_edges split
+  // sound.
   for (std::size_t tx = 0; tx < tiles_x_; ++tx) {
     if (row_any(above, tx)) active_[tx] = 1;
     if (row_any(below, tx)) active_[(tiles_y_ - 1) * tiles_x_ + tx] = 1;

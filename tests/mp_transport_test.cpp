@@ -146,14 +146,12 @@ PDC_SPMD_BODY(conf_heat_strip) {
   const int p = ctx.size();
   const int r = ctx.rank();
   constexpr std::size_t kRows = 24, kCols = 10;
-  // Hybrid plans ride in through the body args ("threads=N",
-  // "schedule=serial"), so the same digest body covers {R,1} and {R,T}
-  // execution on every backend.
+  // Hybrid plans ride in through the body args ("threads=N"), so the
+  // same digest body covers {R,1} and {R,T} execution on every backend.
   st::ExecPlan plan;
   for (const auto& a : io.args) {
     if (a.rfind("threads=", 0) == 0)
       plan.threads_per_rank = std::stoi(a.substr(8));
-    if (a == "schedule=serial") plan.schedule = st::HaloSchedule::kSerial;
   }
   st::HeatOptions hopt;
   hopt.conductivity = 0.25;
@@ -366,9 +364,10 @@ TEST_P(TransportConformance, HeatStripRelaxationHybrid) {
   expect_conformant(GetParam(), "conf_heat_strip", false, {"threads=4"});
 }
 
-TEST_P(TransportConformance, HeatStripRelaxationHybridSerialAblation) {
-  expect_conformant(GetParam(), "conf_heat_strip", false,
-                    {"threads=4", "schedule=serial"});
+TEST_P(TransportConformance, HeatStripRelaxationHybridTwoThreads) {
+  // {R,2}: a team of two, so the boundary tiles the funnel thread
+  // publishes after the halo lands are stolen by a single peer.
+  expect_conformant(GetParam(), "conf_heat_strip", false, {"threads=2"});
 }
 
 TEST_P(TransportConformance, P2pRingPlainChannel) {
@@ -403,16 +402,16 @@ TEST_P(TransportConformance, P2pRingReliableChannel) {
   }
 }
 
-// Every execution shape of the same strip world — {4,1}, {4,2}, {4,4},
-// and the serial-schedule ablation — produces the identical per-rank
-// digest: hybrid threading and halo overlap change wall-clock only,
-// never a byte of results, accounting, or wire traffic.
-TEST(HybridPlanShapes, AllThreadCountsAndSchedulesShareOneDigest) {
+// Every execution shape of the same strip world — {4,1}, {4,2} and
+// {4,4} — produces the identical per-rank digest: hybrid threading
+// changes wall-clock only, never a byte of results, accounting, or wire
+// traffic.
+TEST(HybridPlanShapes, AllThreadCountsShareOneDigest) {
   const auto base =
       run_body(mp::TransportKind::kInproc, 4, "conf_heat_strip");
   ASSERT_TRUE(base.ok()) << base.error;
-  const std::vector<std::vector<std::string>> variants = {
-      {"threads=2"}, {"threads=4"}, {"threads=4", "schedule=serial"}};
+  const std::vector<std::vector<std::string>> variants = {{"threads=2"},
+                                                          {"threads=4"}};
   for (const auto& args : variants) {
     const auto got = run_body(mp::TransportKind::kInproc, 4,
                               "conf_heat_strip", false, args);

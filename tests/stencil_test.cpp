@@ -17,6 +17,7 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <random>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -121,11 +122,78 @@ TEST(ActivityMap, ExternalFlagsReplaceRowWrapForStrips) {
   // Neighbor rank reports its edge tile column 2 changed: our tiles 1
   // and 2 wake (8-neighbor dilation from above), tile 0 stays asleep.
   const std::uint8_t above[3] = {0, 0, 1};
-  act.advance(above, nullptr);
+  act.advance();
+  act.activate_edges(above, nullptr);
   EXPECT_EQ(act.active_count(), 2u);
   EXPECT_FALSE(act.active()[0]);
   EXPECT_TRUE(act.active()[1]);
   EXPECT_TRUE(act.active()[2]);
+}
+
+namespace {
+
+// The brute-force oracle for activate_edges: is any of the 3x3 cells
+// around (r, c) set in a row-major flag grid `cols` wide? Rows never
+// wrap (0 < r < the grid's last row); columns wrap when `wrap_cols`.
+bool any_neighbor_set(const std::vector<std::uint8_t>& grid, std::size_t cols,
+                      std::size_t r, std::size_t c, bool wrap_cols) {
+  const auto w = static_cast<std::ptrdiff_t>(cols);
+  for (std::size_t gr = r - 1; gr <= r + 1; ++gr) {
+    for (std::ptrdiff_t gc = static_cast<std::ptrdiff_t>(c) - 1;
+         gc <= static_cast<std::ptrdiff_t>(c) + 1; ++gc) {
+      if ((gc < 0 || gc >= w) && !wrap_cols) continue;
+      if (grid[gr * cols + static_cast<std::size_t>((gc + w) % w)] != 0)
+        return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
+// A strip map's advance() then activate_edges(above, below) must equal
+// the 8-neighbor dilation of the (tiles_y + 2)-row grid [above; changed;
+// below], a null neighbor being a row of zeros: every map of 1-4 x 1-5
+// tiles, with and without the column wrap, each neighbor present and
+// null, on random flag patterns from sparse to dense.
+TEST(ActivityMap, ActivateEdgesMatchesBruteForceDilation) {
+  std::mt19937 gen(2013);
+  for (std::size_t ty = 1; ty <= 4; ++ty) {
+    for (std::size_t tx = 1; tx <= 5; ++tx) {
+      const ps::TileMap tm(ty, tx, 1, 1);
+      for (int shape = 0; shape < 8; ++shape) {
+        const bool wrap = (shape & 1) != 0;
+        const bool has_above = (shape & 2) != 0;
+        const bool has_below = (shape & 4) != 0;
+        for (int trial = 0; trial < 12; ++trial) {
+          std::bernoulli_distribution coin(0.05 + 0.025 * trial);
+          std::vector<std::uint8_t> grid((ty + 2) * tx, 0);
+          for (std::size_t r = 0; r < ty + 2; ++r) {
+            if ((r == 0 && !has_above) || (r == ty + 1 && !has_below))
+              continue;
+            for (std::size_t c = 0; c < tx; ++c)
+              grid[r * tx + c] = coin(gen) ? 1 : 0;
+          }
+          ps::ActivityMap act(tm, false, wrap);
+          act.advance();  // consume the initial all-changed state
+          for (std::size_t t = 0; t < tm.count(); ++t)
+            act.mark_changed(t, grid[tx + t] != 0);
+          act.advance();
+          act.activate_edges(has_above ? grid.data() : nullptr,
+                             has_below ? grid.data() + (ty + 1) * tx : nullptr);
+          for (std::size_t r = 0; r < ty; ++r) {
+            for (std::size_t c = 0; c < tx; ++c) {
+              EXPECT_EQ(act.active()[tm.index(r, c)] != 0,
+                        any_neighbor_set(grid, tx, r + 1, c, wrap))
+                  << ty << "x" << tx << " tiles, tile (" << r << "," << c
+                  << ") wrap=" << wrap << " above=" << has_above
+                  << " below=" << has_below << " trial=" << trial;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(ActivityMap, CopyEdgeChangedSnapshotsBeforeAdvanceClears) {
@@ -511,13 +579,13 @@ TEST(Heat, MpHaloWordsAreExact) {
 
 // ------------------------------------------------------- tile stealing ---
 
-// Acceptance criterion for the work-stealing engine: tile stealing is a
-// pure load-balance lever. Grids stay bit-identical to the sequential
-// engine and the updated-tile accounting is *exactly* unchanged, for
-// every thread count 1..8 and with stealing both on and off.
+// Acceptance criterion for the work-stealing engine: tile stealing
+// changes only who computes a tile. Grids stay bit-identical to the
+// sequential engine and the updated-tile accounting is *exactly*
+// unchanged, for every thread count 1..8.
 TEST(TileStealing, LifeGridsBitIdenticalAndTileCountsExact1To8Threads) {
-  // Clustered sparse board — all live tiles in one corner, the worst
-  // case for the static partition and the reason stealing exists.
+  // Clustered sparse board — all live tiles in one corner, so each
+  // step's active list is short and workers run dry and steal.
   pl::Grid board(128, 256, pl::Boundary::kDead);
   const pl::Grid soup = pl::random_grid(24, 24, 0.4, 7, pl::Boundary::kDead);
   for (std::size_t r = 0; r < 24; ++r)
@@ -532,18 +600,14 @@ TEST(TileStealing, LifeGridsBitIdenticalAndTileCountsExact1To8Threads) {
   const auto seq = pl::run_plan(seq_g, gens, {}, opt);
 
   for (int threads = 1; threads <= 8; ++threads) {
-    for (const bool steal : {false, true}) {
-      const ps::ExecPlan plan{.threads_per_rank = threads,
-                              .steal_tiles = steal};
-      pl::Grid g = board;
-      const auto res = pl::run_plan(g, gens, plan, opt);
-      EXPECT_EQ(g, seq_g) << "threads=" << threads << " steal=" << steal;
-      EXPECT_EQ(res.tiles_computed, seq.tiles_computed)
-          << "threads=" << threads << " steal=" << steal;
-      EXPECT_EQ(res.tiles_skipped, seq.tiles_skipped)
-          << "threads=" << threads << " steal=" << steal;
-      EXPECT_EQ(res.steps, seq.steps);
-    }
+    const ps::ExecPlan plan{.threads_per_rank = threads};
+    pl::Grid g = board;
+    const auto res = pl::run_plan(g, gens, plan, opt);
+    EXPECT_EQ(g, seq_g) << "threads=" << threads;
+    EXPECT_EQ(res.tiles_computed, seq.tiles_computed)
+        << "threads=" << threads;
+    EXPECT_EQ(res.tiles_skipped, seq.tiles_skipped) << "threads=" << threads;
+    EXPECT_EQ(res.steps, seq.steps);
   }
 }
 
@@ -559,18 +623,14 @@ TEST(TileStealing, HeatStealingMatchesSequentialExactly1To8Threads) {
   EXPECT_TRUE(rs.converged);
 
   for (int threads = 1; threads <= 8; ++threads) {
-    for (const bool steal : {false, true}) {
-      const ps::ExecPlan plan{.threads_per_rank = threads,
-                              .steal_tiles = steal};
-      ps::HeatField thr = hot_top(64, 96);
-      const ps::RunResult rt = ps::heat_relax_plan(thr, opt, plan);
-      EXPECT_EQ(rt.steps, rs.steps) << "threads=" << threads;
-      EXPECT_EQ(rt.last_delta, rs.last_delta) << "threads=" << threads;
-      EXPECT_EQ(rt.tiles_computed, rs.tiles_computed)
-          << "threads=" << threads << " steal=" << steal;
-      EXPECT_EQ(rt.tiles_skipped, rs.tiles_skipped);
-      EXPECT_TRUE(thr == seq) << "threads=" << threads << " steal=" << steal;
-    }
+    const ps::ExecPlan plan{.threads_per_rank = threads};
+    ps::HeatField thr = hot_top(64, 96);
+    const ps::RunResult rt = ps::heat_relax_plan(thr, opt, plan);
+    EXPECT_EQ(rt.steps, rs.steps) << "threads=" << threads;
+    EXPECT_EQ(rt.last_delta, rs.last_delta) << "threads=" << threads;
+    EXPECT_EQ(rt.tiles_computed, rs.tiles_computed) << "threads=" << threads;
+    EXPECT_EQ(rt.tiles_skipped, rs.tiles_skipped);
+    EXPECT_TRUE(thr == seq) << "threads=" << threads;
   }
 }
 
@@ -604,12 +664,12 @@ TEST(HybridPlan, MessagePassingMatchesTwoRankPlan) {
   EXPECT_EQ(msg_words, plan_words);
 }
 
-// The hybrid equivalence theorem, exercised: every plan shape {R,T} x
-// {overlap, serial} x {steal on/off}, over the same awkward shapes the
-// engine sweep uses, produces grids bit-identical to the sequential
-// oracle. Tile accounting matches whenever the strip partition keeps
-// the global tile grid (rows/ranks >= tile_rows); narrower strips
-// shrink the tile height, which changes the counts but never the cells.
+// The hybrid equivalence theorem, exercised: every plan shape {R,T},
+// over the same awkward shapes the engine sweep uses, produces grids
+// bit-identical to the sequential oracle. Tile accounting matches
+// whenever the strip partition keeps the global tile grid (rows/ranks
+// >= tile_rows); narrower strips shrink the tile height, which changes
+// the counts but never the cells.
 TEST(HybridPlan, LifeBitIdenticalToSeqOracleAcrossPlanMatrix) {
   pl::EngineOptions opt;
   opt.tile_rows = 2;
@@ -629,29 +689,18 @@ TEST(HybridPlan, LifeBitIdenticalToSeqOracleAcrossPlanMatrix) {
     for (const int ranks : {1, 2, 4}) {
       if (static_cast<std::size_t>(ranks) > rows) continue;
       for (const int threads : {1, 2, 4}) {
-        for (const auto sched :
-             {ps::HaloSchedule::kOverlap, ps::HaloSchedule::kSerial}) {
-          for (const bool steal : {false, true}) {
-            const ps::ExecPlan plan{.ranks = ranks,
-                                    .threads_per_rank = threads,
-                                    .schedule = sched,
-                                    .steal_tiles = steal};
-            const std::string tag =
-                std::to_string(rows) + "x" + std::to_string(cols) +
-                " plan{" + std::to_string(ranks) + "," +
-                std::to_string(threads) +
-                (sched == ps::HaloSchedule::kOverlap ? ",overlap"
-                                                     : ",serial") +
-                (steal ? ",steal}" : ",static}");
-            pl::Grid g = start;
-            const auto res = pl::run_plan(g, gens, plan, opt);
-            EXPECT_EQ(g, seq_g) << tag;
-            EXPECT_EQ(res.steps, seq.steps) << tag;
-            if (rows / static_cast<std::size_t>(ranks) >= opt.tile_rows) {
-              EXPECT_EQ(res.tiles_computed, seq.tiles_computed) << tag;
-              EXPECT_EQ(res.tiles_skipped, seq.tiles_skipped) << tag;
-            }
-          }
+        const ps::ExecPlan plan{.ranks = ranks, .threads_per_rank = threads};
+        const std::string tag = std::to_string(rows) + "x" +
+                                std::to_string(cols) + " plan{" +
+                                std::to_string(ranks) + "," +
+                                std::to_string(threads) + "}";
+        pl::Grid g = start;
+        const auto res = pl::run_plan(g, gens, plan, opt);
+        EXPECT_EQ(g, seq_g) << tag;
+        EXPECT_EQ(res.steps, seq.steps) << tag;
+        if (rows / static_cast<std::size_t>(ranks) >= opt.tile_rows) {
+          EXPECT_EQ(res.tiles_computed, seq.tiles_computed) << tag;
+          EXPECT_EQ(res.tiles_skipped, seq.tiles_skipped) << tag;
         }
       }
     }
@@ -679,31 +728,20 @@ TEST(HybridPlan, HeatBitIdenticalToSeqOracleAcrossPlanMatrix) {
 
     for (const int ranks : {1, 2, 4}) {
       for (const int threads : {1, 2, 4}) {
-        for (const auto sched :
-             {ps::HaloSchedule::kOverlap, ps::HaloSchedule::kSerial}) {
-          for (const bool steal : {false, true}) {
-            const ps::ExecPlan plan{.ranks = ranks,
-                                    .threads_per_rank = threads,
-                                    .schedule = sched,
-                                    .steal_tiles = steal};
-            const std::string tag =
-                std::to_string(rows) + "x" + std::to_string(cols) +
-                " plan{" + std::to_string(ranks) + "," +
-                std::to_string(threads) +
-                (sched == ps::HaloSchedule::kOverlap ? ",overlap"
-                                                     : ",serial") +
-                (steal ? ",steal}" : ",static}");
-            ps::HeatField f = hot_top(rows, cols);
-            const ps::RunResult rt = ps::heat_relax_plan(f, opt, plan);
-            EXPECT_TRUE(f == seq) << tag;
-            EXPECT_EQ(rt.steps, rs.steps) << tag;
-            EXPECT_EQ(rt.last_delta, rs.last_delta) << tag;
-            EXPECT_TRUE(rt.converged) << tag;
-            if (rows / static_cast<std::size_t>(ranks) >= opt.tile_rows) {
-              EXPECT_EQ(rt.tiles_computed, rs.tiles_computed) << tag;
-              EXPECT_EQ(rt.tiles_skipped, rs.tiles_skipped) << tag;
-            }
-          }
+        const ps::ExecPlan plan{.ranks = ranks, .threads_per_rank = threads};
+        const std::string tag = std::to_string(rows) + "x" +
+                                std::to_string(cols) + " plan{" +
+                                std::to_string(ranks) + "," +
+                                std::to_string(threads) + "}";
+        ps::HeatField f = hot_top(rows, cols);
+        const ps::RunResult rt = ps::heat_relax_plan(f, opt, plan);
+        EXPECT_TRUE(f == seq) << tag;
+        EXPECT_EQ(rt.steps, rs.steps) << tag;
+        EXPECT_EQ(rt.last_delta, rs.last_delta) << tag;
+        EXPECT_TRUE(rt.converged) << tag;
+        if (rows / static_cast<std::size_t>(ranks) >= opt.tile_rows) {
+          EXPECT_EQ(rt.tiles_computed, rs.tiles_computed) << tag;
+          EXPECT_EQ(rt.tiles_skipped, rs.tiles_skipped) << tag;
         }
       }
     }
