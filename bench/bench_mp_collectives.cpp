@@ -143,9 +143,9 @@ double elapsed_us(std::chrono::steady_clock::time_point t0) {
 }  // namespace
 
 /// Rank 0 reports "lat_us bw_mwps": 1-word round-trip latency and the
-/// word rate of 16K-word round trips (128KB — the largest frame that
-/// fits the default 256KB shm ring with headroom). args[0] = timed
-/// latency reps.
+/// word rate of 16K-word (128KB) round trips. No frame size is tied to
+/// the shm ring's 256KB: the ring carries a frame in pieces. args[0] =
+/// timed latency reps.
 PDC_SPMD_BODY(bench_pingpong) {
   const int peer = 1 - ctx.rank();
   auto round_trips = [&](std::size_t words, int reps) {

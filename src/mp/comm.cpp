@@ -203,11 +203,10 @@ struct CommState : public Transport::Sink {
       case Frame::kAck:
         accept_ack(f);
         return;
-      case Frame::kFin:
-        peer_stopped(f.src, static_cast<int>(f.seq));
-        return;
+      default:  // kFin: the process backends consume it themselves
+        break;
     }
-    throw std::runtime_error("unknown frame type");
+    throw std::runtime_error("unexpected frame type");
   }
 
   /// Liveness event from the transport: a remote peer finished, errored,
@@ -738,24 +737,22 @@ void RankContext::reliable_send(int dest, int tag,
     }
     {
       std::unique_lock lk(mybox.m);
+      // A finished peer still acks through its lingering mailbox, so it
+      // is waited out like a running one; only a killed or errored host
+      // ends the backoff early.
       const bool done = mybox.cv.wait_for(lk, backoff, [&] {
         const auto it = mybox.acked.find(dest);
         if (it != mybox.acked.end() && it->second >= seq) return true;
-        return st.rank_state[dest].load() != detail::kRunning;
+        const int ds = st.rank_state[dest].load();
+        return ds == detail::kKilled || ds == detail::kErrored;
       });
       if (done) {
         const auto it = mybox.acked.find(dest);
         if (it != mybox.acked.end() && it->second >= seq) return;
-        // Peer stopped before acking: a finished peer may still ack via a
-        // retransmit (its mailbox outlives it), but killed/errored hosts
-        // are gone for good.
-        const int ds = st.rank_state[dest].load();
-        if (ds == detail::kKilled || ds == detail::kErrored) {
-          lk.unlock();
-          throw RankFailedError(dest, "send to rank " + std::to_string(dest) +
-                                          ": rank " + st.state_name(dest) +
-                                          " before acking");
-        }
+        lk.unlock();
+        throw RankFailedError(dest, "send to rank " + std::to_string(dest) +
+                                        ": rank " + st.state_name(dest) +
+                                        " before acking");
       }
     }
     backoff = std::min(backoff * kBackoffFactor, kMaxBackoff);

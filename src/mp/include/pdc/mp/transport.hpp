@@ -15,10 +15,16 @@
 //    detection. A SIGKILLed rank is noticed because its pid vanishes
 //    while its published state still says "running".
 //  - tcp     (transport_tcp.cpp): P processes full-mesh connected via a
-//    rank-0 bootstrap listener that exchanges the rank -> port map;
-//    length-prefixed frames, non-blocking sockets driven by a per-rank
-//    progress thread. EOF/ECONNRESET without a prior FIN frame maps to
-//    "rank killed".
+//    rank-0 bootstrap listener that exchanges the rank -> port map over
+//    non-blocking sockets. EOF/ECONNRESET without a prior FIN frame maps
+//    to "rank killed".
+//
+// shm and tcp share one progress engine (src/mp/transport_progress.hpp):
+// wire-encoded frames queue in one byte buffer per peer, and a progress
+// thread's bounded passes write to and read from every peer. A backend
+// adds only its handshake, its byte mover (a ring or a socket, either of
+// which carries a frame of any size in pieces), its liveness probe and
+// its wait for work.
 //
 // The contract every backend must honor (the conformance suite in
 // tests/mp_transport_test.cpp checks it across the full matrix):
@@ -84,14 +90,9 @@ struct TransportOptions {
   int world = 1;  ///< total ranks
   /// Rendezvous point shared by all ranks: the shm segment name
   /// ("/pdc_..."), or the path of the file where rank 0 publishes its
-  /// bootstrap TCP port. Unused for inproc.
+  /// bootstrap TCP port. Unused for inproc. The handshake waits 10 s for
+  /// every rank to attach (shm) or connect (tcp), then throws.
   std::string endpoint;
-  /// Per ordered rank pair, the shm ring's data capacity in bytes
-  /// (rounded up to a power of two). One frame must fit entirely.
-  std::size_t shm_ring_bytes = 1u << 18;
-  /// Handshake deadline: how long start() waits for every rank to attach
-  /// (shm) or connect (tcp) before throwing.
-  std::chrono::milliseconds handshake_timeout{10000};
 };
 
 class Transport {
@@ -123,9 +124,9 @@ class Transport {
   /// data frame can arrive before every rank has started.
   virtual void start(Sink* sink) = 0;
 
-  /// Queue one frame toward f.dst. Thread-safe; never blocks on the
-  /// destination's protocol state (it may briefly block on transport
-  /// backpressure, e.g. a full ring with a live reader).
+  /// Queue one frame toward f.dst. Thread-safe and never blocks: bytes
+  /// the wire cannot take yet wait in the process backends' per-peer
+  /// buffer.
   virtual void send(Frame&& f) = 0;
 
   /// Best-effort drain of the outbound path (bounded wait).

@@ -90,9 +90,9 @@ template <class T>
 }  // namespace
 
 void encode_frame(const Frame& f, std::vector<std::uint8_t>& out) {
-  const std::size_t total = frame_bytes(f);
-  out.reserve(out.size() + total);
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(total));
+  // No exact reserve here: senders append frame after frame to one
+  // buffer, which must grow geometrically to stay O(1) per frame.
+  put<std::uint32_t>(out, static_cast<std::uint32_t>(frame_bytes(f)));
   put<std::uint32_t>(out, static_cast<std::uint32_t>(f.type));
   put<std::int32_t>(out, f.src);
   put<std::int32_t>(out, f.dst);

@@ -2,10 +2,12 @@
 // holding a lock-free SPSC byte ring per ordered rank pair. Rank 0 creates
 // and initializes the segment; everyone else attaches, the attach counts
 // double as the rendezvous barrier, and rank 0 unlinks the name once all
-// ranks are in (so a crashed world cannot leak the segment).
+// ranks are in (so a crashed world cannot leak the segment). The rings are
+// this backend's byte mover: a frame streams through one in pieces, so no
+// frame size is tied to the ring's.
 //
 // Liveness: every rank publishes pid + a heartbeat its progress thread
-// bumps continuously. A peer is declared dead when its published state is
+// bumps every pass. A peer is declared dead when its published state is
 // terminal (announce()), its pid probe reports ESRCH (the launcher reaps
 // children promptly, so a SIGKILLed rank's pid vanishes fast), or its
 // heartbeat goes stale (covers the zombie window when nobody reaped it).
@@ -18,27 +20,28 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
-#include <deque>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "pdc/mp/transport.hpp"
+#include "transport_progress.hpp"
 
 namespace pdc::mp {
 namespace {
 
 constexpr std::uint64_t kReadyMagic = 0x7064635f73686d31ULL;  // "pdc_shm1"
+/// Data capacity of each ordered rank pair's ring (a power of two).
+constexpr std::size_t kRingBytes = std::size_t{1} << 18;
 
 struct alignas(64) SegHead {
   std::atomic<std::uint64_t> ready;  ///< kReadyMagic once fully initialized
   std::int32_t world;
-  std::uint32_t ring_bytes;
 };
 
 struct alignas(64) RankSlot {
@@ -48,47 +51,50 @@ struct alignas(64) RankSlot {
   std::atomic<std::uint64_t> heartbeat;
 };
 
-/// SPSC ring: monotonic positions, data capacity is a power of two.
-/// Producer owns tail, consumer owns head; cross-process visibility of the
-/// copied bytes rides the release/acquire pair on tail (and head for the
-/// producer's free-space check).
+/// SPSC ring: monotonic positions over kRingBytes of data. Producer owns
+/// tail, consumer owns head; cross-process visibility of the copied bytes
+/// rides the release/acquire pair on tail (and head for the producer's
+/// free-space check).
 struct RingHdr {
   alignas(64) std::atomic<std::uint64_t> head;  ///< consumer position
   alignas(64) std::atomic<std::uint64_t> tail;  ///< producer position
 };
 
-class ShmTransport final : public Transport {
+class ShmTransport final : public detail::ProgressTransport {
  public:
   explicit ShmTransport(const TransportOptions& opt)
-      : opt_(opt), world_(opt.world), rank_(opt.rank) {
-    if (opt_.endpoint.empty() || opt_.endpoint[0] != '/')
+      : ProgressTransport(opt.world, opt.rank), endpoint_(opt.endpoint) {
+    if (endpoint_.empty() || endpoint_[0] != '/')
       throw std::invalid_argument(
           "shm transport needs a \"/name\" endpoint (shm_open name)");
-    ring_bytes_ = 4096;
-    while (ring_bytes_ < opt_.shm_ring_bytes) ring_bytes_ <<= 1;
   }
 
-  ~ShmTransport() override { teardown(); }
+  ~ShmTransport() override {
+    stop_progress();
+    if (base_ != nullptr) ::munmap(base_, seg_size());
+    if (fd_ >= 0) ::close(fd_);
+    if (unlink_owner_) ::shm_unlink(endpoint_.c_str());
+  }
 
   [[nodiscard]] const char* name() const override { return "shm"; }
-  [[nodiscard]] bool cross_process() const override { return true; }
-  [[nodiscard]] int local_rank() const override { return rank_; }
 
-  void start(Sink* sink) override {
-    sink_ = sink;
-    const auto deadline =
-        std::chrono::steady_clock::now() + opt_.handshake_timeout;
+  void announce(int state) override {
+    slot_ptr(rank_)->state.store(state, std::memory_order_release);
+    ProgressTransport::announce(state);
+  }
+
+ private:
+  void handshake(std::chrono::steady_clock::time_point deadline) override {
     if (rank_ == 0) {
-      ::shm_unlink(opt_.endpoint.c_str());  // stale segment from a crash
-      fd_ = ::shm_open(opt_.endpoint.c_str(), O_CREAT | O_EXCL | O_RDWR, 0600);
-      if (fd_ < 0) sys_fail("shm_open(create " + opt_.endpoint + ")");
+      ::shm_unlink(endpoint_.c_str());  // stale segment from a crash
+      fd_ = ::shm_open(endpoint_.c_str(), O_CREAT | O_EXCL | O_RDWR, 0600);
+      if (fd_ < 0) sys_fail("shm_open(create " + endpoint_ + ")");
       unlink_owner_ = true;
       if (::ftruncate(fd_, static_cast<off_t>(seg_size())) != 0)
         sys_fail("ftruncate(shm segment)");
       map_segment();
       auto* h = new (base_) SegHead;
       h->world = world_;
-      h->ring_bytes = static_cast<std::uint32_t>(ring_bytes_);
       for (int r = 0; r < world_; ++r) {
         auto* s = new (slot_ptr(r)) RankSlot;
         s->pid.store(0);
@@ -97,14 +103,14 @@ class ShmTransport final : public Transport {
         s->heartbeat.store(0);
       }
       for (int i = 0; i < world_ * world_; ++i) {
-        auto* r = new (ring_ptr(i)) RingHdr;
+        auto* r = new (ring_base(i)) RingHdr;
         r->head.store(0);
         r->tail.store(0);
       }
       h->ready.store(kReadyMagic, std::memory_order_release);
     } else {
-      while ((fd_ = ::shm_open(opt_.endpoint.c_str(), O_RDWR, 0600)) < 0) {
-        if (errno != ENOENT) sys_fail("shm_open(" + opt_.endpoint + ")");
+      while ((fd_ = ::shm_open(endpoint_.c_str(), O_RDWR, 0600)) < 0) {
+        if (errno != ENOENT) sys_fail("shm_open(" + endpoint_ + ")");
         wait_or_fail(deadline, "shm segment to appear");
       }
       struct stat sb{};
@@ -114,13 +120,12 @@ class ShmTransport final : public Transport {
         wait_or_fail(deadline, "shm segment to be sized");
       }
       map_segment();
-      auto* h = head_ptr();
+      auto* h = reinterpret_cast<SegHead*>(base_);
       while (h->ready.load(std::memory_order_acquire) != kReadyMagic)
         wait_or_fail(deadline, "shm segment to initialize");
-      if (h->world != world_ ||
-          h->ring_bytes != static_cast<std::uint32_t>(ring_bytes_))
+      if (h->world != world_)
         throw std::runtime_error("shm segment geometry mismatch: " +
-                                 opt_.endpoint);
+                                 endpoint_);
     }
 
     // Attach barrier: publish ourselves, wait for the full world.
@@ -132,107 +137,20 @@ class ShmTransport final : public Transport {
       while (slot_ptr(r)->attached.load(std::memory_order_acquire) == 0)
         wait_or_fail(deadline, "rank " + std::to_string(r) + " to attach");
     if (rank_ == 0) {
-      ::shm_unlink(opt_.endpoint.c_str());
+      ::shm_unlink(endpoint_.c_str());
       unlink_owner_ = false;
     }
-
-    send_mu_ = std::make_unique<std::mutex[]>(static_cast<std::size_t>(world_));
-    pending_.assign(static_cast<std::size_t>(world_), {});
-    stopped_reported_ = std::make_unique<std::atomic<bool>[]>(
-        static_cast<std::size_t>(world_));
-    stopped_state_ = std::make_unique<std::atomic<int>[]>(
-        static_cast<std::size_t>(world_));
-    for (int r = 0; r < world_; ++r) {
-      stopped_reported_[r].store(false);
-      stopped_state_[r].store(rankstate::kRunning);
-    }
-    stop_.store(false);
-    progress_ = std::thread([this] { progress_loop(); });
+    last_hb_.assign(static_cast<std::size_t>(world_), 0);
+    hb_seen_.assign(static_cast<std::size_t>(world_), clock::now());
   }
 
-  void send(Frame&& f) override {
-    const int d = f.dst;
-    if (d < 0 || d >= world_) throw std::out_of_range("bad destination");
-    if (d == rank_) {  // self-flow never touches the rings
-      sink_->deliver(std::move(f));
-      return;
-    }
-    std::vector<std::uint8_t> buf;
-    wire::encode_frame(f, buf);
-    if (buf.size() > ring_bytes_)
-      throw std::runtime_error("frame of " + std::to_string(buf.size()) +
-                               " bytes exceeds the shm ring capacity (" +
-                               std::to_string(ring_bytes_) +
-                               "); raise TransportOptions::shm_ring_bytes");
-    const int st = stopped_state_[d].load();
-    if (st == rankstate::kKilled || st == rankstate::kErrored)
-      return;  // silent no-op: the host is gone
-    std::lock_guard lk(send_mu_[d]);
-    // FIFO: never jump the pending queue.
-    if (pending_[d].empty() && write_ring(d, buf)) return;
-    pending_[d].push_back(std::move(buf));
-  }
-
-  void flush() override {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(2000);
-    for (;;) {
-      bool clean = true;
-      for (int d = 0; d < world_ && clean; ++d) {
-        if (d == rank_) continue;
-        const int st = stopped_state_[d].load();
-        if (st == rankstate::kKilled || st == rankstate::kErrored) continue;
-        {
-          std::lock_guard lk(send_mu_[d]);
-          if (!pending_[d].empty()) clean = false;
-        }
-        RingHdr* r = ring_hdr(rank_, d);
-        if (r->tail.load(std::memory_order_relaxed) !=
-            r->head.load(std::memory_order_acquire))
-          clean = false;
-      }
-      if (clean || std::chrono::steady_clock::now() > deadline) return;
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-  }
-
-  void announce(int state) override {
-    slot_ptr(rank_)->state.store(state, std::memory_order_release);
-    for (int p = 0; p < world_; ++p) {
-      if (p == rank_) continue;
-      Frame f;
-      f.type = Frame::kFin;
-      f.src = rank_;
-      f.dst = p;
-      f.seq = static_cast<std::uint64_t>(state);
-      send(std::move(f));
-    }
-  }
-
-  void close(std::chrono::milliseconds linger) override {
-    const auto deadline = std::chrono::steady_clock::now() + linger;
-    for (;;) {
-      bool all = true;
-      for (int p = 0; p < world_; ++p)
-        if (p != rank_ && !stopped_reported_[p].load()) all = false;
-      if (all || std::chrono::steady_clock::now() > deadline) break;
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-    teardown();
-  }
-
- private:
   // ---- segment geometry ----
 
-  [[nodiscard]] std::size_t ring_stride() const {
-    return sizeof(RingHdr) + ring_bytes_;
-  }
+  static constexpr std::size_t kRingStride = sizeof(RingHdr) + kRingBytes;
+
   [[nodiscard]] std::size_t seg_size() const {
     const auto w = static_cast<std::size_t>(world_);
-    return sizeof(SegHead) + w * sizeof(RankSlot) + w * w * ring_stride();
-  }
-  [[nodiscard]] SegHead* head_ptr() const {
-    return reinterpret_cast<SegHead*>(base_);
+    return sizeof(SegHead) + w * sizeof(RankSlot) + w * w * kRingStride;
   }
   [[nodiscard]] RankSlot* slot_ptr(int r) const {
     return reinterpret_cast<RankSlot*>(base_ + sizeof(SegHead) +
@@ -242,9 +160,8 @@ class ShmTransport final : public Transport {
   [[nodiscard]] std::uint8_t* ring_base(int idx) const {
     return base_ + sizeof(SegHead) +
            static_cast<std::size_t>(world_) * sizeof(RankSlot) +
-           static_cast<std::size_t>(idx) * ring_stride();
+           static_cast<std::size_t>(idx) * kRingStride;
   }
-  [[nodiscard]] void* ring_ptr(int idx) const { return ring_base(idx); }
   [[nodiscard]] RingHdr* ring_hdr(int src, int dst) const {
     return reinterpret_cast<RingHdr*>(ring_base(src * world_ + dst));
   }
@@ -263,128 +180,57 @@ class ShmTransport final : public Transport {
     throw std::runtime_error(what + ": " + std::strerror(errno));
   }
 
-  void wait_or_fail(std::chrono::steady_clock::time_point deadline,
-                    const std::string& what) const {
+  static void wait_or_fail(std::chrono::steady_clock::time_point deadline,
+                           const std::string& what) {
     if (std::chrono::steady_clock::now() > deadline)
       throw std::runtime_error("shm handshake timed out waiting for " + what);
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
 
-  // ---- ring I/O ----
+  // ---- the byte mover: as much of [p, p + n) as the ring takes or holds ----
 
-  bool write_ring(int d, const std::vector<std::uint8_t>& buf) {
+  std::ptrdiff_t write_bytes(int d, const std::uint8_t* p,
+                             std::size_t n) override {
     RingHdr* r = ring_hdr(rank_, d);
     const auto tail = r->tail.load(std::memory_order_relaxed);  // sole producer
-    const auto head = r->head.load(std::memory_order_acquire);
-    if (ring_bytes_ - (tail - head) < buf.size()) return false;
+    n = std::min<std::size_t>(
+        n, kRingBytes - (tail - r->head.load(std::memory_order_acquire)));
+    if (n == 0) return 0;
     std::uint8_t* data = ring_data(rank_, d);
-    const std::size_t idx = tail & (ring_bytes_ - 1);
-    const std::size_t first = std::min(buf.size(), ring_bytes_ - idx);
-    std::memcpy(data + idx, buf.data(), first);
-    std::memcpy(data, buf.data() + first, buf.size() - first);
-    r->tail.store(tail + buf.size(), std::memory_order_release);
-    return true;
+    const std::size_t idx = tail & (kRingBytes - 1);
+    const std::size_t first = std::min(n, kRingBytes - idx);
+    std::memcpy(data + idx, p, first);
+    std::memcpy(data, p + first, n - first);
+    r->tail.store(tail + n, std::memory_order_release);
+    return static_cast<std::ptrdiff_t>(n);
   }
 
-  void copy_out(int s, std::uint64_t pos, std::uint8_t* dst,
-                std::size_t len) const {
-    const std::uint8_t* data = ring_data(s, rank_);
-    const std::size_t idx = pos & (ring_bytes_ - 1);
-    const std::size_t first = std::min(len, ring_bytes_ - idx);
-    std::memcpy(dst, data + idx, first);
-    std::memcpy(dst + first, data, len - first);
-  }
-
-  bool read_one(int s, std::vector<std::uint8_t>& scratch) {
+  std::ptrdiff_t read_bytes(int s, std::uint8_t* p, std::size_t n) override {
     RingHdr* r = ring_hdr(s, rank_);
     const auto head = r->head.load(std::memory_order_relaxed);  // sole consumer
-    const auto tail = r->tail.load(std::memory_order_acquire);
-    const auto avail = tail - head;
-    if (avail < 4) return false;
-    std::uint8_t lenb[4];
-    copy_out(s, head, lenb, 4);
-    std::uint32_t total;
-    std::memcpy(&total, lenb, 4);
-    if (total < wire::kFrameHeaderBytes || total > ring_bytes_)
-      throw std::runtime_error("shm ring corrupted (frame length " +
-                               std::to_string(total) + ")");
-    if (avail < total) return false;
-    scratch.resize(total);
-    copy_out(s, head, scratch.data(), total);
-    Frame f;
-    const auto consumed = wire::decode_frame(scratch.data(), total, f);
-    r->head.store(head + consumed, std::memory_order_release);
-    if (f.type == Frame::kFin)
-      report_stopped(f.src, static_cast<int>(f.seq));
-    else
-      sink_->deliver(std::move(f));
-    return true;
+    n = std::min<std::size_t>(
+        n, r->tail.load(std::memory_order_acquire) - head);
+    if (n == 0) return 0;  // an idle pass must not dirty the shared line
+    const std::uint8_t* data = ring_data(s, rank_);
+    const std::size_t idx = head & (kRingBytes - 1);
+    const std::size_t first = std::min(n, kRingBytes - idx);
+    std::memcpy(p, data + idx, first);
+    std::memcpy(p + first, data, n - first);
+    r->head.store(head + n, std::memory_order_release);
+    return static_cast<std::ptrdiff_t>(n);
   }
 
-  void report_stopped(int p, int state) {
-    if (p < 0 || p >= world_ || p == rank_) return;
-    if (stopped_reported_[p].exchange(true)) return;
-    stopped_state_[p].store(state);
-    sink_->peer_stopped(p, state);
-  }
+  // ---- liveness and idling ----
 
-  // ---- progress thread ----
+  using clock = std::chrono::steady_clock;
 
-  void progress_loop() {
-    using clock = std::chrono::steady_clock;
-    std::vector<std::uint64_t> last_hb(static_cast<std::size_t>(world_), 0);
-    std::vector<clock::time_point> hb_seen(static_cast<std::size_t>(world_),
-                                           clock::now());
-    std::vector<std::uint8_t> scratch;
-    auto next_scan = clock::now();
-    std::uint64_t beat = 1;
-    // Idle strategy: poll the rings for a while before sleeping. A
-    // ping-pong peer answers within a few microseconds, so parking the
-    // thread on every empty pass would put one scheduler wakeup
-    // (tens of microseconds) into every message's critical path.
-    constexpr int kIdleSpinPasses = 4000;
-    int idle_passes = 0;
-    while (!stop_.load(std::memory_order_acquire)) {
-      slot_ptr(rank_)->heartbeat.store(++beat, std::memory_order_relaxed);
-      bool did = false;
-      for (int d = 0; d < world_; ++d) {
-        if (d == rank_) continue;
-        std::lock_guard lk(send_mu_[d]);
-        auto& q = pending_[d];
-        while (!q.empty() && write_ring(d, q.front())) {
-          q.pop_front();
-          did = true;
-        }
-        const int st = stopped_state_[d].load();
-        if (!q.empty() &&
-            (st == rankstate::kKilled || st == rankstate::kErrored))
-          q.clear();  // the host is gone; these can never land
-      }
-      for (int s = 0; s < world_; ++s) {
-        if (s == rank_) continue;
-        while (read_one(s, scratch)) did = true;
-      }
-      const auto now = clock::now();
-      if (now >= next_scan) {
-        next_scan = now + std::chrono::milliseconds(5);
-        scan_liveness(now, last_hb, hb_seen);
-      }
-      if (did) {
-        idle_passes = 0;
-      } else if (++idle_passes < kIdleSpinPasses) {
-        std::this_thread::yield();
-      } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      }
-    }
-  }
-
-  void scan_liveness(std::chrono::steady_clock::time_point now,
-                     std::vector<std::uint64_t>& last_hb,
-                     std::vector<std::chrono::steady_clock::time_point>&
-                         hb_seen) {
+  void probe_liveness() override {
+    slot_ptr(rank_)->heartbeat.store(++beat_, std::memory_order_relaxed);
+    const auto now = clock::now();
+    if (now < next_scan_) return;
+    next_scan_ = now + std::chrono::milliseconds(5);
     for (int p = 0; p < world_; ++p) {
-      if (p == rank_ || stopped_reported_[p].load()) continue;
+      if (p == rank_ || stop_reported(p)) continue;
       // Only judge a peer once its inbound ring is drained: frames it sent
       // before dying must be delivered, not misreported as lost.
       RingHdr* r = ring_hdr(p, rank_);
@@ -398,13 +244,13 @@ class ShmTransport final : public Transport {
         continue;
       }
       const auto pid = sl->pid.load();
-      bool dead =
-          pid > 0 && ::kill(pid, 0) == -1 && errno == ESRCH;
+      bool dead = pid > 0 && ::kill(pid, 0) == -1 && errno == ESRCH;
+      const auto up = static_cast<std::size_t>(p);
       const auto hb = sl->heartbeat.load(std::memory_order_relaxed);
-      if (hb != last_hb[p]) {
-        last_hb[p] = hb;
-        hb_seen[p] = now;
-      } else if (now - hb_seen[p] > std::chrono::milliseconds(3000)) {
+      if (hb != last_hb_[up]) {
+        last_hb_[up] = hb;
+        hb_seen_[up] = now;
+      } else if (now - hb_seen_[up] > std::chrono::milliseconds(3000)) {
         dead = true;  // zombie window: pid probe can't see an unreaped kill
       }
       if (dead) {
@@ -414,43 +260,31 @@ class ShmTransport final : public Transport {
     }
   }
 
-  void teardown() {
-    if (progress_.joinable()) {
-      stop_.store(true, std::memory_order_release);
-      progress_.join();
-    }
-    if (base_ != nullptr) {
-      ::munmap(base_, seg_size());
-      base_ = nullptr;
-    }
-    if (fd_ >= 0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-    if (unlink_owner_) {
-      ::shm_unlink(opt_.endpoint.c_str());
-      unlink_owner_ = false;
+  void wait_for_work(bool did_work) override {
+    // Poll the rings for a while before sleeping. A ping-pong peer answers
+    // within a few microseconds, so parking the thread on every empty pass
+    // would put one scheduler wakeup (tens of microseconds) into every
+    // message's critical path.
+    constexpr int kIdleSpinPasses = 4000;
+    if (did_work) {
+      idle_passes_ = 0;
+    } else if (++idle_passes_ < kIdleSpinPasses) {
+      std::this_thread::yield();
+    } else {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
   }
 
-  TransportOptions opt_;
-  int world_;
-  int rank_;
-  std::size_t ring_bytes_ = 0;
-  Sink* sink_ = nullptr;
+  std::string endpoint_;
   int fd_ = -1;
   bool unlink_owner_ = false;
   std::uint8_t* base_ = nullptr;
-
-  /// Process-local: body thread and progress thread both produce into a
-  /// ring (data vs acks), so each ring's single-producer side is a mutex
-  /// away; cross-process it stays strictly SPSC.
-  std::unique_ptr<std::mutex[]> send_mu_;
-  std::vector<std::deque<std::vector<std::uint8_t>>> pending_;
-  std::unique_ptr<std::atomic<bool>[]> stopped_reported_;
-  std::unique_ptr<std::atomic<int>[]> stopped_state_;
-  std::atomic<bool> stop_{false};
-  std::thread progress_;
+  // Progress thread only.
+  std::uint64_t beat_ = 1;
+  int idle_passes_ = 0;
+  clock::time_point next_scan_{};
+  std::vector<std::uint64_t> last_hb_;
+  std::vector<clock::time_point> hb_seen_;
 };
 
 }  // namespace

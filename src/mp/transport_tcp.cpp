@@ -8,11 +8,12 @@
 // The handshake is the rendezvous barrier: start() returns only after all
 // of this rank's connections exist.
 //
-// Data path: length-prefixed wire frames, non-blocking sockets with
-// TCP_NODELAY, one progress thread multiplexing every connection through
-// poll() (a self-pipe wakes it for outbound work). Dead-peer detection:
-// EOF or ECONNRESET without a prior kFin frame means the peer's process
-// died without announcing — a SIGKILL — and maps to rankstate::kKilled.
+// Data path: non-blocking sockets with TCP_NODELAY are this backend's
+// byte mover; the progress thread waits for work in poll() over every
+// socket and a self-pipe that send() writes when it leaves bytes queued.
+// Dead-peer detection: EOF or ECONNRESET without a prior kFin frame means
+// the peer's process died without announcing (a SIGKILL) and maps to
+// rankstate::kKilled.
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -22,17 +23,16 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "pdc/mp/transport.hpp"
+#include "transport_progress.hpp"
 
 namespace pdc::mp {
 namespace {
@@ -45,127 +45,48 @@ struct Hello {
   std::int32_t port;
 };
 
-class TcpTransport final : public Transport {
+class TcpTransport final : public detail::ProgressTransport {
  public:
   explicit TcpTransport(const TransportOptions& opt)
-      : opt_(opt), world_(opt.world), rank_(opt.rank) {
-    if (opt_.endpoint.empty())
+      : ProgressTransport(opt.world, opt.rank),
+        endpoint_(opt.endpoint),
+        fds_(static_cast<std::size_t>(opt.world), -1) {
+    if (endpoint_.empty())
       throw std::invalid_argument(
           "tcp transport needs an endpoint (path of the rank-0 port file)");
   }
 
-  ~TcpTransport() override { teardown(); }
+  ~TcpTransport() override {
+    stop_progress();
+    for (const int fd : fds_)
+      if (fd >= 0) ::close(fd);
+    for (const int fd : wake_pipe_)
+      if (fd >= 0) ::close(fd);
+    if (rank_ == 0) std::remove(endpoint_.c_str());
+  }
 
   [[nodiscard]] const char* name() const override { return "tcp"; }
-  [[nodiscard]] bool cross_process() const override { return true; }
-  [[nodiscard]] int local_rank() const override { return rank_; }
-
-  void start(Sink* sink) override {
-    sink_ = sink;
-    const auto deadline =
-        std::chrono::steady_clock::now() + opt_.handshake_timeout;
-    conns_ = std::vector<Conn>(static_cast<std::size_t>(world_));
-    if (world_ > 1) handshake(deadline);
-    for (auto& c : conns_)
-      if (c.fd >= 0) set_data_mode(c.fd);
-    if (::pipe(wake_pipe_) != 0) sys_fail("pipe(self-pipe)");
-    set_nonblock(wake_pipe_[0]);
-    set_nonblock(wake_pipe_[1]);
-    stop_.store(false);
-    progress_ = std::thread([this] { progress_loop(); });
-  }
-
-  void send(Frame&& f) override {
-    const int d = f.dst;
-    if (d < 0 || d >= world_) throw std::out_of_range("bad destination");
-    if (d == rank_) {  // self-flow never touches a socket
-      sink_->deliver(std::move(f));
-      return;
-    }
-    Conn& c = conns_[static_cast<std::size_t>(d)];
-    {
-      std::lock_guard lk(c.mu);
-      if (c.fd < 0) return;  // silent no-op: peer is gone
-      wire::encode_frame(f, c.outbuf);
-    }
-    wake();
-  }
-
-  void flush() override {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(2000);
-    for (;;) {
-      bool clean = true;
-      for (auto& c : conns_) {
-        std::lock_guard lk(c.mu);
-        if (c.fd >= 0 && c.out_off < c.outbuf.size()) clean = false;
-      }
-      if (clean || std::chrono::steady_clock::now() > deadline) return;
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-  }
-
-  void announce(int state) override {
-    for (int p = 0; p < world_; ++p) {
-      if (p == rank_) continue;
-      Frame f;
-      f.type = Frame::kFin;
-      f.src = rank_;
-      f.dst = p;
-      f.seq = static_cast<std::uint64_t>(state);
-      send(std::move(f));
-    }
-  }
-
-  void close(std::chrono::milliseconds linger) override {
-    const auto deadline = std::chrono::steady_clock::now() + linger;
-    for (;;) {
-      bool all = true;
-      for (int p = 0; p < world_; ++p)
-        if (p != rank_ &&
-            !conns_[static_cast<std::size_t>(p)].stopped_reported.load())
-          all = false;
-      if (all || std::chrono::steady_clock::now() > deadline) break;
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-    teardown();
-  }
 
  private:
-  struct Conn {
-    int fd = -1;
-    std::mutex mu;                     ///< guards fd close, outbuf, out_off
-    std::vector<std::uint8_t> outbuf;  ///< encoded frames awaiting write
-    std::size_t out_off = 0;
-    std::vector<std::uint8_t> inbuf;   ///< partial inbound frame bytes
-    std::atomic<bool> stopped_reported{false};
-
-    Conn() = default;
-    Conn(Conn&& o) noexcept
-        : fd(o.fd),
-          outbuf(std::move(o.outbuf)),
-          out_off(o.out_off),
-          inbuf(std::move(o.inbuf)),
-          stopped_reported(o.stopped_reported.load()) {}
-    Conn& operator=(Conn&&) = delete;
-  };
-
   // ---- handshake ----
+
+  void handshake(std::chrono::steady_clock::time_point deadline) override {
+    if (world_ > 1) connect_mesh(deadline);
+    for (const int fd : fds_)
+      if (fd >= 0) set_data_mode(fd);
+    if (::pipe2(wake_pipe_, O_NONBLOCK) != 0) sys_fail("pipe2(self-pipe)");
+  }
 
   [[noreturn]] static void sys_fail(const std::string& what) {
     throw std::runtime_error(what + ": " + std::strerror(errno));
   }
 
-  static void set_nonblock(int fd) {
-    const int fl = ::fcntl(fd, F_GETFL);
-    if (fl < 0 || ::fcntl(fd, F_SETFL, fl | O_NONBLOCK) < 0)
-      sys_fail("fcntl(O_NONBLOCK)");
-  }
-
   static void set_data_mode(int fd) {
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    set_nonblock(fd);
+    const int fl = ::fcntl(fd, F_GETFL);
+    if (fl < 0 || ::fcntl(fd, F_SETFL, fl | O_NONBLOCK) < 0)
+      sys_fail("fcntl(O_NONBLOCK)");
   }
 
   static void check_deadline(std::chrono::steady_clock::time_point deadline,
@@ -270,19 +191,19 @@ class TcpTransport final : public Transport {
   }
 
   void publish_port(int port) const {
-    const std::string tmp = opt_.endpoint + ".tmp";
+    const std::string tmp = endpoint_ + ".tmp";
     FILE* f = std::fopen(tmp.c_str(), "w");
     if (f == nullptr) sys_fail("fopen(" + tmp + ")");
     std::fprintf(f, "%d\n", port);
     std::fclose(f);
-    if (std::rename(tmp.c_str(), opt_.endpoint.c_str()) != 0)
+    if (std::rename(tmp.c_str(), endpoint_.c_str()) != 0)
       sys_fail("rename(port file)");
   }
 
   [[nodiscard]] int wait_port(
       std::chrono::steady_clock::time_point deadline) const {
     for (;;) {
-      FILE* f = std::fopen(opt_.endpoint.c_str(), "r");
+      FILE* f = std::fopen(endpoint_.c_str(), "r");
       if (f != nullptr) {
         int port = 0;
         const int got = std::fscanf(f, "%d", &port);
@@ -294,7 +215,7 @@ class TcpTransport final : public Transport {
     }
   }
 
-  void handshake(std::chrono::steady_clock::time_point deadline) {
+  void connect_mesh(std::chrono::steady_clock::time_point deadline) {
     if (rank_ == 0) {
       int port = 0;
       const int lfd = make_listener(world_, &port);
@@ -305,13 +226,13 @@ class TcpTransport final : public Transport {
         Hello h{};
         read_full(fd, &h, sizeof(h), deadline, "HELLO");
         if (h.magic != kHelloMagic || h.rank < 1 || h.rank >= world_ ||
-            conns_[static_cast<std::size_t>(h.rank)].fd >= 0)
+            fds_[static_cast<std::size_t>(h.rank)] >= 0)
           throw std::runtime_error("tcp handshake: bad HELLO");
-        conns_[static_cast<std::size_t>(h.rank)].fd = fd;
+        fds_[static_cast<std::size_t>(h.rank)] = fd;
         ports[static_cast<std::size_t>(h.rank)] = h.port;
       }
       for (int p = 1; p < world_; ++p)
-        write_full(conns_[static_cast<std::size_t>(p)].fd, ports.data(),
+        write_full(fds_[static_cast<std::size_t>(p)], ports.data(),
                    ports.size() * sizeof(std::int32_t), deadline, "MAP");
       ::close(lfd);
       return;
@@ -322,7 +243,7 @@ class TcpTransport final : public Transport {
         dial_with_deadline(wait_port(deadline), deadline, "rank 0");
     Hello hello{kHelloMagic, rank_, my_port};
     write_full(fd0, &hello, sizeof(hello), deadline, "HELLO");
-    conns_[0].fd = fd0;
+    fds_[0] = fd0;
     std::vector<std::int32_t> ports(static_cast<std::size_t>(world_), 0);
     read_full(fd0, ports.data(), ports.size() * sizeof(std::int32_t), deadline,
               "MAP");
@@ -331,168 +252,68 @@ class TcpTransport final : public Transport {
                                         deadline,
                                         "rank " + std::to_string(q));
       write_full(fd, &hello, sizeof(hello), deadline, "HELLO");
-      conns_[static_cast<std::size_t>(q)].fd = fd;
+      fds_[static_cast<std::size_t>(q)] = fd;
     }
     for (int i = rank_ + 1; i < world_; ++i) {
       const int fd = accept_with_deadline(lfd, deadline);
       Hello h{};
       read_full(fd, &h, sizeof(h), deadline, "HELLO");
       if (h.magic != kHelloMagic || h.rank <= rank_ || h.rank >= world_ ||
-          conns_[static_cast<std::size_t>(h.rank)].fd >= 0)
+          fds_[static_cast<std::size_t>(h.rank)] >= 0)
         throw std::runtime_error("tcp handshake: bad HELLO");
-      conns_[static_cast<std::size_t>(h.rank)].fd = fd;
+      fds_[static_cast<std::size_t>(h.rank)] = fd;
     }
     if (lfd >= 0) ::close(lfd);
   }
 
-  // ---- data path ----
+  // ---- the byte mover, liveness and idling ----
 
-  void wake() const {
+  std::ptrdiff_t write_bytes(int p, const std::uint8_t* data,
+                             std::size_t n) override {
+    const ssize_t k =
+        ::send(fds_[static_cast<std::size_t>(p)], data, n, MSG_NOSIGNAL);
+    if (k >= 0) return k;
+    return errno == EAGAIN || errno == EINTR ? 0 : kLinkLost;
+  }
+
+  /// EOF or a reset is the liveness probe: the base reports kKilled unless
+  /// the peer's kFin came first.
+  std::ptrdiff_t read_bytes(int p, std::uint8_t* data,
+                            std::size_t n) override {
+    const ssize_t k = ::read(fds_[static_cast<std::size_t>(p)], data, n);
+    if (k > 0) return k;
+    return k < 0 && (errno == EAGAIN || errno == EINTR) ? 0 : kLinkLost;
+  }
+
+  /// Block until a socket is readable, a socket with queued bytes is
+  /// writable, or send() rouses us. poll() is level-triggered, so work a
+  /// bounded pass left behind wakes it at once.
+  void wait_for_work(bool /*did_work*/) override {
+    pfds_.clear();
+    pfds_.push_back({wake_pipe_[0], POLLIN, 0});
+    for (int p = 0; p < world_; ++p)
+      if (p != rank_ && readable(p))
+        pfds_.push_back({fds_[static_cast<std::size_t>(p)],
+                         static_cast<short>(has_output(p) ? POLLIN | POLLOUT
+                                                          : POLLIN),
+                         0});
+    if (::poll(pfds_.data(), pfds_.size(), 50) > 0 &&
+        (pfds_[0].revents & POLLIN) != 0) {
+      char buf[256];
+      while (::read(wake_pipe_[0], buf, sizeof(buf)) > 0) {
+      }
+    }
+  }
+
+  void wake() override {
     const char b = 1;
     [[maybe_unused]] const auto n = ::write(wake_pipe_[1], &b, 1);
   }
 
-  void report_stopped(int p, int state) {
-    Conn& c = conns_[static_cast<std::size_t>(p)];
-    if (c.stopped_reported.exchange(true)) return;
-    sink_->peer_stopped(p, state);
-  }
-
-  /// Tear one connection down (progress thread only). Without a prior
-  /// kFin, an EOF/reset means the peer died unannounced: SIGKILL.
-  void drop_conn(int p) {
-    Conn& c = conns_[static_cast<std::size_t>(p)];
-    {
-      std::lock_guard lk(c.mu);
-      if (c.fd >= 0) {
-        ::close(c.fd);
-        c.fd = -1;
-      }
-      c.outbuf.clear();
-      c.out_off = 0;
-    }
-    report_stopped(p, rankstate::kKilled);
-  }
-
-  void progress_loop() {
-    std::vector<pollfd> pfds;
-    std::vector<int> peers;
-    std::uint8_t buf[65536];
-    while (!stop_.load(std::memory_order_acquire)) {
-      pfds.clear();
-      peers.clear();
-      pfds.push_back({wake_pipe_[0], POLLIN, 0});
-      peers.push_back(-1);
-      for (int p = 0; p < world_; ++p) {
-        if (p == rank_) continue;
-        Conn& c = conns_[static_cast<std::size_t>(p)];
-        std::lock_guard lk(c.mu);
-        if (c.fd < 0) continue;
-        short ev = POLLIN;
-        if (c.out_off < c.outbuf.size()) ev |= POLLOUT;
-        pfds.push_back({c.fd, ev, 0});
-        peers.push_back(p);
-      }
-      if (::poll(pfds.data(), pfds.size(), 50) < 0 && errno != EINTR) break;
-      if ((pfds[0].revents & POLLIN) != 0)
-        while (::read(wake_pipe_[0], buf, sizeof(buf)) > 0) {
-        }
-      for (std::size_t i = 1; i < pfds.size(); ++i) {
-        const int p = peers[i];
-        if ((pfds[i].revents & POLLOUT) != 0 && !write_some(p)) continue;
-        if ((pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) != 0)
-          read_some(p, buf, sizeof(buf));
-      }
-    }
-  }
-
-  /// Drain some outbound bytes. Returns false if the connection died.
-  bool write_some(int p) {
-    Conn& c = conns_[static_cast<std::size_t>(p)];
-    std::unique_lock lk(c.mu);
-    while (c.fd >= 0 && c.out_off < c.outbuf.size()) {
-      const ssize_t k = ::write(c.fd, c.outbuf.data() + c.out_off,
-                                c.outbuf.size() - c.out_off);
-      if (k > 0) {
-        c.out_off += static_cast<std::size_t>(k);
-        continue;
-      }
-      if (k < 0 && (errno == EAGAIN || errno == EINTR)) break;
-      lk.unlock();
-      drop_conn(p);
-      return false;
-    }
-    if (c.out_off == c.outbuf.size()) {
-      c.outbuf.clear();
-      c.out_off = 0;
-    }
-    return true;
-  }
-
-  void read_some(int p, std::uint8_t* buf, std::size_t cap) {
-    Conn& c = conns_[static_cast<std::size_t>(p)];
-    for (;;) {
-      int fd;
-      {
-        std::lock_guard lk(c.mu);
-        fd = c.fd;
-      }
-      if (fd < 0) return;
-      const ssize_t k = ::read(fd, buf, cap);
-      if (k > 0) {
-        c.inbuf.insert(c.inbuf.end(), buf, buf + k);
-        std::size_t off = 0;
-        for (;;) {
-          Frame f;
-          const auto used =
-              wire::decode_frame(c.inbuf.data() + off, c.inbuf.size() - off, f);
-          if (used == 0) break;
-          off += used;
-          if (f.type == Frame::kFin)
-            report_stopped(p, static_cast<int>(f.seq));
-          else
-            sink_->deliver(std::move(f));
-        }
-        if (off > 0) c.inbuf.erase(c.inbuf.begin(), c.inbuf.begin() + off);
-        continue;
-      }
-      if (k < 0 && (errno == EAGAIN || errno == EINTR)) return;
-      // EOF or reset. After a kFin this is the orderly goodbye; without
-      // one the peer was killed.
-      drop_conn(p);
-      return;
-    }
-  }
-
-  void teardown() {
-    if (progress_.joinable()) {
-      stop_.store(true, std::memory_order_release);
-      wake();
-      progress_.join();
-    }
-    for (auto& c : conns_) {
-      std::lock_guard lk(c.mu);
-      if (c.fd >= 0) {
-        ::close(c.fd);
-        c.fd = -1;
-      }
-    }
-    for (int i = 0; i < 2; ++i)
-      if (wake_pipe_[i] >= 0) {
-        ::close(wake_pipe_[i]);
-        wake_pipe_[i] = -1;
-      }
-    if (rank_ == 0) std::remove(opt_.endpoint.c_str());
-  }
-
-  TransportOptions opt_;
-  int world_;
-  int rank_;
-  Sink* sink_ = nullptr;
-  std::vector<Conn> conns_;
+  std::string endpoint_;
+  std::vector<int> fds_;  ///< per peer; set by the handshake
   int wake_pipe_[2] = {-1, -1};
-  std::atomic<bool> stop_{false};
-  std::thread progress_;
+  std::vector<pollfd> pfds_;  ///< progress thread only
 };
 
 }  // namespace

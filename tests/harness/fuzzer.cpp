@@ -99,6 +99,19 @@ RunResult run_plan_process(int ranks, mp::TransportKind kind,
   return out;
 }
 
+std::string judge_process(const RunResult& r, const mp::FaultPlan& plan,
+                          const RunResult& baseline) {
+  if (r.outcome == Outcome::kError)
+    return "unexpected failure: " + r.error;
+  if (r.outcome == Outcome::kRankFailed) {
+    if (plan.kills()) return {};  // a real SIGKILL is a legal outcome
+    return "RankFailedError without a kill in the plan: " + r.error;
+  }
+  if (r.per_rank_out != baseline.per_rank_out)
+    return "result mismatch vs in-process fault-free baseline";
+  return {};
+}
+
 std::string FuzzReport::repro() const {
   return "transport=" + transport + " threads=" + std::to_string(threads) +
          " seed=" + std::to_string(seed) + " plan=" + plan.describe();
@@ -133,21 +146,6 @@ std::string judge(const RunResult& r, const mp::FaultPlan& plan,
   }
   if (r.per_rank != baseline.per_rank)
     return "result mismatch vs fault-free baseline";
-  return {};
-}
-
-/// Process-transport judge: same rules, digests are the bodies' out
-/// strings and the baseline is the in-process fault-free run.
-std::string judge_process(const RunResult& r, const mp::FaultPlan& plan,
-                          const RunResult& baseline) {
-  if (r.outcome == Outcome::kError)
-    return "unexpected failure: " + r.error;
-  if (r.outcome == Outcome::kRankFailed) {
-    if (plan.kills()) return {};  // a real SIGKILL is a legal outcome
-    return "RankFailedError without a kill in the plan: " + r.error;
-  }
-  if (r.per_rank_out != baseline.per_rank_out)
-    return "result mismatch vs in-process fault-free baseline";
   return {};
 }
 

@@ -91,6 +91,14 @@ inline constexpr std::chrono::seconds kProcessWorldTimeout{8};
     std::chrono::seconds timeout = kProcessWorldTimeout,
     const std::vector<std::string>& args = {});
 
+/// What, if anything, is wrong with one process-transport run of `plan`:
+/// empty when it reproduced the in-process fault-free `baseline`'s
+/// digests, or failed cleanly under a plan that kills a rank. A hang
+/// (launch timeout) is a failure like any other.
+[[nodiscard]] std::string judge_process(const RunResult& r,
+                                        const pdc::mp::FaultPlan& plan,
+                                        const RunResult& baseline);
+
 struct FuzzOptions {
   int ranks = 4;
   int iterations = 100;

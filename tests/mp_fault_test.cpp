@@ -196,6 +196,30 @@ TEST(Reliable, CollectivesMatchOracleUnderLoss) {
   }
 }
 
+TEST(Reliable, SendToFinishedPeerBacksOff) {
+  // A finished peer still acks through its lingering mailbox, so a send
+  // to it waits out each backoff step as it would for a running peer.
+  // Every frame is dropped here, so no ack ever comes: the send gives up
+  // after the 5 s budget, having retried about once a step (200 us
+  // doubling to 5 ms: about 1000 times), not in a tight loop.
+  mp::FaultPlan plan;
+  plan.drop = 1.0;
+  plan.seed = 21;
+  mp::Communicator comm(2, plan);
+  try {
+    comm.run([&](mp::RankContext& ctx) {
+      ctx.set_reliable(true);
+      if (ctx.rank() == 0) ctx.send_value(1, 0, 42);
+    });
+    FAIL() << "a send that is never acked must fail";
+  } catch (const mp::RankFailedError& e) {
+    EXPECT_NE(std::string(e.what()).find("no ack within retry budget"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_LE(comm.traffic().retries, 1100u);
+}
+
 // ------------------------------------------------------------ rank kill ---
 
 TEST(RankKill, SurfacesAsRankFailedError) {

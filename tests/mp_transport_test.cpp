@@ -29,6 +29,8 @@
 #include <csignal>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -268,6 +270,25 @@ PDC_SPMD_BODY(conf_arrivals) {
   }
 }
 
+PDC_SPMD_BODY(conf_big_frame) {
+  // One 65,536-word frame (512 KiB on the wire) to the right neighbour:
+  // twice the shm ring's capacity, so the ring must carry it in pieces.
+  const int p = ctx.size();
+  const int r = ctx.rank();
+  constexpr std::int64_t kWords = 65536;
+  std::vector<std::int64_t> payload(static_cast<std::size_t>(kWords));
+  for (std::int64_t i = 0; i < kWords; ++i)
+    payload[static_cast<std::size_t>(i)] = r * kWords + i * 7 - 3;
+  ctx.send((r + 1) % p, 3, std::move(payload));
+  const auto got = ctx.recv((r + p - 1) % p, 3).data;
+  std::uint64_t h = 0;
+  for (const auto x : got)
+    h = h * 1099511628211ULL + static_cast<std::uint64_t>(x);
+  io.out = std::to_string(got.size()) + ":" + std::to_string(h) + ":" +
+           std::to_string(got.empty() ? 0 : got.back());
+  append_arrivals(ctx, io.out);
+}
+
 // ----------------------------------------------------- the test rig ---
 
 struct Cell {
@@ -400,6 +421,10 @@ TEST_P(TransportConformance, P2pRingReliableChannel) {
   } else {
     EXPECT_GE(got.traffic.acks, floor);
   }
+}
+
+TEST_P(TransportConformance, FrameLargerThanTheShmRing) {
+  expect_conformant(GetParam(), "conf_big_frame");
 }
 
 // Every execution shape of the same strip world — {4,1}, {4,2} and
@@ -596,6 +621,26 @@ TEST_P(TransportFuzz, KillReproReplaysDeterministically) {
   }
 }
 
+TEST_P(TransportFuzz, ReplaysTheKnownHangSeed) {
+  // A hang regression. Under this plan a sender could resend at once, over
+  // and over, to a finished peer, whose acks then piled up behind a read
+  // loop that never let go; about one tcp world in ten hung. Every replay
+  // must match the in-process baseline, judged as fuzz_spmd_process does.
+  const auto plan = pt::plan_from_seed(8676773715231084142ULL, 3, true);
+  const auto baseline = pt::run_plan_process(3, mp::TransportKind::kInproc,
+                                             mp::FaultPlan{},
+                                             "conf_collectives");
+  ASSERT_EQ(baseline.outcome, pt::Outcome::kOk) << baseline.error;
+  const int replays = pt::stress_iters(40);
+  for (int i = 0; i < replays; ++i) {
+    const auto verdict = pt::judge_process(
+        pt::run_plan_process(3, GetParam(), plan, "conf_collectives"), plan,
+        baseline);
+    ASSERT_TRUE(verdict.empty())
+        << "replay " << i << " of " << plan.describe() << ": " << verdict;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(ProcessTransports, TransportFuzz,
                          ::testing::Values(mp::TransportKind::kShm,
                                            mp::TransportKind::kTcp),
@@ -605,5 +650,94 @@ INSTANTIATE_TEST_SUITE_P(ProcessTransports, TransportFuzz,
                                std::toupper(static_cast<unsigned char>(n[0])));
                            return n;
                          });
+
+// ------------------------------------------------------ wire codec ---
+
+mp::Frame sample_frame(mp::Frame::Type type, std::size_t words) {
+  mp::Frame f;
+  f.type = type;
+  f.src = 3;
+  f.dst = -1;
+  f.tag = -77;
+  f.flags = mp::Frame::kFlagDup;
+  f.delay = 2;
+  f.seq = 0xFEEDFACECAFEULL + words;
+  for (std::size_t i = 0; i < words; ++i)
+    f.payload.push_back(static_cast<std::int64_t>(i * i) - 5);
+  return f;
+}
+
+TEST(Wire, RoundTripsEveryFrameType) {
+  std::vector<mp::Frame> sent;
+  for (const auto type : {mp::Frame::kData, mp::Frame::kRData,
+                          mp::Frame::kAck, mp::Frame::kFin})
+    for (const std::size_t words : {0, 1, 9})
+      sent.push_back(sample_frame(type, words));
+  std::vector<std::uint8_t> buf;
+  std::size_t total = 0;
+  for (const auto& f : sent) {
+    mp::wire::encode_frame(f, buf);
+    total += mp::wire::frame_bytes(f);
+    ASSERT_EQ(buf.size(), total);
+  }
+  std::size_t off = 0;
+  for (const auto& want : sent) {
+    mp::Frame got;
+    const auto used =
+        mp::wire::decode_frame(buf.data() + off, buf.size() - off, got);
+    ASSERT_EQ(used, mp::wire::frame_bytes(want));
+    off += used;
+    EXPECT_EQ(got.type, want.type);
+    EXPECT_EQ(got.src, want.src);
+    EXPECT_EQ(got.dst, want.dst);
+    EXPECT_EQ(got.tag, want.tag);
+    EXPECT_EQ(got.flags, want.flags);
+    EXPECT_EQ(got.delay, want.delay);
+    EXPECT_EQ(got.seq, want.seq);
+    EXPECT_EQ(got.payload, want.payload);
+  }
+  EXPECT_EQ(off, buf.size());
+}
+
+TEST(Wire, PartialBufferDecodesToNothing) {
+  std::vector<std::uint8_t> buf;
+  mp::wire::encode_frame(sample_frame(mp::Frame::kRData, 4), buf);
+  for (std::size_t n = 0; n < buf.size(); ++n) {
+    mp::Frame f;
+    EXPECT_EQ(mp::wire::decode_frame(buf.data(), n, f), 0u) << n << " bytes";
+  }
+}
+
+TEST(Wire, MalformedHeadersThrow) {
+  std::vector<std::uint8_t> good;
+  mp::wire::encode_frame(sample_frame(mp::Frame::kData, 2), good);
+  auto decode_with = [&](std::size_t at, std::uint32_t v) {
+    auto buf = good;
+    std::memcpy(buf.data() + at, &v, sizeof v);
+    mp::Frame f;
+    return mp::wire::decode_frame(buf.data(), buf.size(), f);
+  };
+  EXPECT_THROW(decode_with(0, 40), std::runtime_error);  // below the header
+  EXPECT_THROW(decode_with(0, 52), std::runtime_error);  // not whole words
+  EXPECT_THROW(decode_with(4, 0), std::runtime_error);   // no such type
+  EXPECT_THROW(decode_with(4, 5), std::runtime_error);
+  EXPECT_THROW(decode_with(40, 3), std::runtime_error);  // 3 words in 2's room
+  EXPECT_EQ(decode_with(40, 2), good.size());
+}
+
+TEST(Wire, AppendingFramesGrowsTheBufferGeometrically) {
+  // Senders append every frame to one buffer per peer; growing it to the
+  // exact size each time would make every append copy the whole buffer.
+  std::vector<std::uint8_t> buf;
+  const auto ack = sample_frame(mp::Frame::kAck, 0);
+  int reallocations = 0;
+  for (int i = 0; i < 10000; ++i) {
+    const auto cap = buf.capacity();
+    mp::wire::encode_frame(ack, buf);
+    if (buf.capacity() != cap) ++reallocations;
+  }
+  EXPECT_EQ(buf.size(), 10000 * mp::wire::kFrameHeaderBytes);
+  EXPECT_LE(reallocations, 64);
+}
 
 }  // namespace
