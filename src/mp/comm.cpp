@@ -425,62 +425,38 @@ struct CommState : public Transport::Sink {
 
 // ------------------------------------------------------------ communicator ---
 
-Communicator::Communicator(int size) : size_(size) {
-  if (size_ < 1) throw std::invalid_argument("communicator size must be >= 1");
-  st_ = std::make_shared<detail::CommState>(size_);
-  transport_ = make_inproc_transport(size_);
-  st_->transport = transport_.get();
-  transport_->start(st_.get());
-}
+Communicator::Communicator(int size, FaultPlan plan)
+    : Communicator(TransportOptions{.world = size, .endpoint = {}},
+                   std::move(plan)) {}
 
-Communicator::Communicator(int size, FaultPlan plan) : Communicator(size) {
-  st_->plan = plan;
-}
-
-Communicator::Communicator(const TransportOptions& topt) : size_(topt.world) {
+Communicator::Communicator(const TransportOptions& topt, FaultPlan plan)
+    : size_(topt.world) {
   if (size_ < 1) throw std::invalid_argument("communicator size must be >= 1");
-  if (topt.kind == TransportKind::kInproc) {
-    st_ = std::make_shared<detail::CommState>(size_);
-    transport_ = make_inproc_transport(size_);
-    st_->transport = transport_.get();
-    transport_->start(st_.get());
-    return;
-  }
-  if (topt.rank < 0 || topt.rank >= topt.world)
-    throw std::invalid_argument("rank must be in [0, world)");
-  st_ = std::make_shared<detail::CommState>(size_);
   transport_ = make_transport(topt);
+  st_ = std::make_shared<detail::CommState>(size_);
+  st_->plan = std::move(plan);
   st_->transport = transport_.get();
-  local_rank_ = topt.rank;
-  // start() happens in run(): every rank must reach the rendezvous, and
-  // fault plans are still settable until then.
 }
-
-void Communicator::set_fault_plan(FaultPlan plan) { st_->plan = plan; }
-
-const FaultPlan& Communicator::fault_plan() const { return st_->plan; }
 
 TrafficStats Communicator::traffic() const { return st_->traffic_snapshot(); }
 
 void Communicator::reset_traffic() { st_->reset_traffic(); }
 
 void Communicator::run(const std::function<void(RankContext&)>& body) {
-  if (local_rank_ >= 0) {
-    run_process_rank(body);
-  } else {
-    run_local_threads(body);
-  }
-}
-
-void Communicator::run_local_threads(
-    const std::function<void(RankContext&)>& body) {
   auto& st = *st_;
   st.reset_run_state();
-  const auto up = static_cast<std::size_t>(size_);
-  std::vector<std::exception_ptr> errors(up);
-  std::vector<char> killed(up, 0);
-  std::vector<char> rank_failed(up, 0);
+  // On a process backend the handshake doubles as a barrier: no rank's
+  // frames can arrive before every rank has reset its run state and
+  // started listening.
+  transport_->start(&st);
 
+  // inproc runs every rank here; a process backend runs its one rank.
+  const int local = transport_->local_rank();
+  const int first = local < 0 ? 0 : local;
+  const int last = local < 0 ? size_ : local + 1;
+  const auto up = static_cast<std::size_t>(size_);
+  std::vector<std::exception_ptr> root_causes(up);
+  std::vector<std::exception_ptr> cascade(up);  // RankFailedError
   auto rank_main = [&](int r) {
     const auto ur = static_cast<std::size_t>(r);
     try {
@@ -489,23 +465,21 @@ void Communicator::run_local_threads(
       st.mark(r, detail::kFinished);
     } catch (const detail::RankKilledError&) {
       st.mark(r, detail::kKilled);
-      killed[ur] = 1;
     } catch (const RankFailedError&) {
-      errors[ur] = std::current_exception();
-      rank_failed[ur] = 1;
+      cascade[ur] = std::current_exception();
       st.mark(r, detail::kErrored);
     } catch (...) {
-      errors[ur] = std::current_exception();
+      root_causes[ur] = std::current_exception();
       st.mark(r, detail::kErrored);
     }
   };
 
-  if (size_ == 1) {
-    rank_main(0);
+  if (last - first == 1) {
+    rank_main(first);
   } else {
     std::vector<std::jthread> threads;
-    threads.reserve(up);
-    for (int r = 0; r < size_; ++r) {
+    threads.reserve(static_cast<std::size_t>(last - first));
+    for (int r = first; r < last; ++r) {
       threads.emplace_back([&, r] {
         // Rank threads own their trace track: spans from rank r land on
         // the "mp/r" timeline, stable run over run.
@@ -514,76 +488,25 @@ void Communicator::run_local_threads(
         rank_main(r);
       });
     }
-    threads.clear();  // join
-  }
+  }  // the jthreads join here
+
+  // Tell the peers how this process's rank ended and wait for theirs
+  // (nothing to do on inproc, where every rank is local).
+  transport_->finish(st.rank_state[first].load());
 
   // Root causes first: a logic error beats the RankFailedError cascade it
   // triggered. A fault-plan kill is reported deterministically (the set
-  // of survivors that noticed can vary with timing; the kill cannot).
-  for (std::size_t r = 0; r < up; ++r)
-    if (errors[r] && !rank_failed[r]) std::rethrow_exception(errors[r]);
-  for (std::size_t r = 0; r < up; ++r)
-    if (killed[r])
-      throw RankFailedError(static_cast<int>(r),
-                            "rank " + std::to_string(r) +
-                                " killed by fault plan " + st.plan.describe());
-  for (std::size_t r = 0; r < up; ++r)
-    if (errors[r]) std::rethrow_exception(errors[r]);
-}
-
-void Communicator::run_process_rank(
-    const std::function<void(RankContext&)>& body) {
-  auto& st = *st_;
-  if (ran_)
-    throw std::logic_error(
-        "a cross-process Communicator supports exactly one run(): the "
-        "rendezvous handshake cannot be replayed");
-  ran_ = true;
-  st.reset_run_state();
-  // The handshake doubles as a barrier: no rank's frames can arrive
-  // before every rank has reset its run state and started listening.
-  transport_->start(&st);
-
-  const int r = local_rank_;
-  std::exception_ptr error;
-  bool killed = false;
-  bool rank_failed = false;
-  try {
-    RankContext ctx(this, r);
-    body(ctx);
-    st.mark(r, detail::kFinished);
-  } catch (const detail::RankKilledError&) {
-    // Unreachable on a true process backend (maybe_kill raises SIGKILL
-    // there), kept for transports that report cross_process() == false.
-    st.mark(r, detail::kKilled);
-    killed = true;
-  } catch (const RankFailedError&) {
-    error = std::current_exception();
-    rank_failed = true;
-    st.mark(r, detail::kErrored);
-  } catch (...) {
-    error = std::current_exception();
-    st.mark(r, detail::kErrored);
-  }
-
-  // Publish our terminal state, then wait for every peer's so all
-  // processes agree on the set of outcomes before deciding what to throw.
-  transport_->announce(st.rank_state[r].load());
-  transport_->flush();
-  transport_->close(std::chrono::milliseconds(2000));
-
-  // Same precedence as the in-process aggregation: root-cause errors
-  // first, then any killed rank (a SIGKILLed peer shows up as kKilled via
-  // transport liveness — report it with the exact error the in-process
-  // kill produces), then the RankFailedError cascade.
-  if (error && !rank_failed) std::rethrow_exception(error);
-  (void)killed;  // mark() already recorded it in rank_state
-  for (int q = 0; q < size_; ++q)
-    if (st.rank_state[q].load() == detail::kKilled)
-      throw RankFailedError(q, "rank " + std::to_string(q) +
+  // of survivors that noticed can vary with timing; the kill cannot),
+  // whether this process ran the victim or the transport reported it.
+  for (const auto& e : root_causes)
+    if (e) std::rethrow_exception(e);
+  for (int r = 0; r < size_; ++r)
+    if (st.rank_state[r].load() == detail::kKilled)
+      throw RankFailedError(r, "rank " + std::to_string(r) +
                                    " killed by fault plan " +
                                    st.plan.describe());
-  if (error) std::rethrow_exception(error);
+  for (const auto& e : cascade)
+    if (e) std::rethrow_exception(e);
 }
 
 // ---------------------------------------------------------------- request ---
@@ -631,18 +554,10 @@ TrafficStats RankContext::traffic() const {
   return comm_->st_->traffic_snapshot();
 }
 
-bool RankContext::cross_process() const {
-  return comm_->st_->transport->cross_process();
-}
-
-const char* RankContext::transport_name() const {
-  return comm_->st_->transport->name();
-}
-
 void RankContext::maybe_kill() {
   const FaultPlan& plan = comm_->st_->plan;
   if (plan.kill_rank == rank_ && ops_ > plan.kill_after_ops) {
-    if (comm_->st_->transport->cross_process()) {
+    if (comm_->st_->transport->local_rank() >= 0) {
       // A real kill: this process vanishes mid-protocol exactly like a
       // crashed host — no goodbye frame, no unwinding. Peers find out
       // through transport liveness (pid probe / connection reset).

@@ -185,15 +185,9 @@ class RankContext {
   /// This process's traffic ledger (== Communicator::traffic()). On the
   /// in-process backend every rank shares one ledger; on the process
   /// backends each rank counts only the frames its own process saw — sum
-  /// rank-0-or-every-process contributions (see cross_process()) to
+  /// every process's ledger (launch::LaunchResult::traffic does) to
   /// compare totals across backends.
   [[nodiscard]] TrafficStats traffic() const;
-
-  /// True when each rank runs as its own OS process (shm/tcp backends).
-  [[nodiscard]] bool cross_process() const;
-
-  /// Backend name: "inproc", "shm", or "tcp".
-  [[nodiscard]] const char* transport_name() const;
 
   // ---- point to point ----
 
@@ -336,40 +330,39 @@ class ReliableModeScope {
   bool prev_;
 };
 
-/// Runs an SPMD function over `size` ranks. With the default in-process
-/// transport every rank is a thread of this process; constructed from a
-/// TransportOptions naming a process backend (shm, tcp), this process IS
-/// one rank of a multi-process world and run() executes the body for that
-/// rank only, while the transport's progress machinery keeps the mailbox,
-/// reliable-channel acks, and rank liveness flowing.
+/// Runs an SPMD function over `size` ranks, under a seeded fault plan
+/// (fault.hpp; the default plan injects nothing). With the default
+/// in-process transport every rank is a thread of this process;
+/// constructed from a TransportOptions naming a process backend (shm,
+/// tcp), this process IS one rank of a multi-process world and run()
+/// executes the body for that rank only, while the transport's progress
+/// machinery keeps the mailbox, reliable-channel acks, and rank liveness
+/// flowing. One runner serves every backend.
 class Communicator {
  public:
-  explicit Communicator(int size);
-  Communicator(int size, FaultPlan plan);
+  /// `size` ranks, all threads of this process.
+  explicit Communicator(int size, FaultPlan plan = {});
 
   /// Join (or host, for inproc) a world described by `topt`. For process
   /// backends the constructor does not touch the network; the rendezvous
   /// handshake happens in run(), which all ranks must reach.
-  explicit Communicator(const TransportOptions& topt);
+  explicit Communicator(const TransportOptions& topt, FaultPlan plan = {});
 
-  /// Install a fault schedule (before run). See fault.hpp.
-  void set_fault_plan(FaultPlan plan);
-  [[nodiscard]] const FaultPlan& fault_plan() const;
-
-  /// Launch all local ranks, wait for completion. Exceptions from any
-  /// local rank are rethrown after all threads join — root-cause
-  /// (non-RankFailedError) exceptions first by rank order; a fault-plan
-  /// kill surfaces as a deterministic RankFailedError naming the victim
-  /// and the plan. On a process backend the body runs once (for this
-  /// process's rank), a fault-plan kill of this rank is a real SIGKILL,
-  /// and a peer rank's death surfaces as the same RankFailedError the
-  /// in-process backend produces.
+  /// Run the body on every local rank and wait for them: inline when
+  /// there is one (a process backend, or a world of one), otherwise one
+  /// thread per rank. Then the transport's finish() tells the peers how
+  /// this process's rank ended and waits for theirs, and run() rethrows
+  /// in one order on every backend: a root-cause (non-RankFailedError)
+  /// exception first, by rank; then a fault-plan kill, as a deterministic
+  /// RankFailedError naming the victim and the plan (on a process
+  /// backend the kill is a real SIGKILL, and a peer's shows up through
+  /// transport liveness); then the RankFailedError cascade. An inproc
+  /// Communicator runs any number of times; a process backend's
+  /// rendezvous cannot be replayed, so its second run() throws
+  /// std::logic_error.
   void run(const std::function<void(RankContext&)>& body);
 
   [[nodiscard]] int size() const { return size_; }
-  /// This process's rank on a process backend; -1 when all ranks are
-  /// local (inproc).
-  [[nodiscard]] int local_rank() const { return local_rank_; }
   [[nodiscard]] TrafficStats traffic() const;
   void reset_traffic();
 
@@ -377,12 +370,7 @@ class Communicator {
   friend class RankContext;
   friend class Request;
 
-  void run_local_threads(const std::function<void(RankContext&)>& body);
-  void run_process_rank(const std::function<void(RankContext&)>& body);
-
   int size_;
-  int local_rank_ = -1;
-  bool ran_ = false;
   std::shared_ptr<detail::CommState> st_;
   std::unique_ptr<Transport> transport_;
 };

@@ -78,7 +78,10 @@ struct LaunchResult {
   std::vector<RankResult> ranks;
   /// First rank that died by SIGKILL (the fault plan's victim), or -1.
   int killed_rank = -1;
-  /// Representative error text (first failing rank's), empty when kOk.
+  /// Representative error text, empty when kOk: the first root cause's
+  /// (a rank that exited 43), else the first RankFailedError's (exit 42),
+  /// else the first other failing rank's — the error one in-process
+  /// run() would throw.
   std::string error;
   /// Whole-world traffic: the sum of every rank process's ledger, read
   /// after its Communicator finished (fully quiescent, so the receiver-

@@ -34,11 +34,19 @@
 //    transport, at the sender gate, so a lossy run exercises recovery
 //    identically on every backend);
 //  - a peer that stops — finished, errored, or killed — is eventually
-//    reported to the sink exactly once, and
+//    reported to the sink exactly once. A clean stop is reported only
+//    through the peer's kFin, which arrives behind every frame the peer
+//    sent, so no receiver hears "finished" while a frame is still on its
+//    way. Only a peer whose process is gone is judged otherwise (tcp: EOF
+//    without a kFin; shm: a vanished pid or a stale heartbeat, named by
+//    the state the peer published in finish());
 //  - send() to a stopped peer is a silent no-op (the layer above detects
-//    dead peers through rank liveness, not through send failures).
+//    dead peers through rank liveness, not through send failures), and
+//  - one run per process backend: Communicator::run() calls start() and
+//    then finish() once each run, and a shm or tcp transport's second
+//    start() throws std::logic_error, because its rendezvous cannot be
+//    replayed. inproc's start() and finish() may run any number of times.
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -113,15 +121,16 @@ class Transport {
   virtual ~Transport() = default;
 
   [[nodiscard]] virtual const char* name() const = 0;
-  /// True when each rank is its own OS process (shm, tcp): rank-kill
-  /// must be a real SIGKILL and traffic ledgers are per process.
-  [[nodiscard]] virtual bool cross_process() const = 0;
-  /// The single local rank, or -1 when every rank is local (inproc).
+  /// The one rank this process runs (shm, tcp), or -1 when every rank is
+  /// a thread of this process (inproc). With a local rank, each rank is
+  /// its own OS process: a rank-kill is a real SIGKILL and traffic
+  /// ledgers are per process.
   [[nodiscard]] virtual int local_rank() const = 0;
 
   /// Rendezvous + handshake; the sink starts receiving frames once this
   /// returns. Acts as a barrier across ranks on the process backends: no
-  /// data frame can arrive before every rank has started.
+  /// data frame can arrive before every rank has started. A process
+  /// backend starts once; a second call throws std::logic_error.
   virtual void start(Sink* sink) = 0;
 
   /// Queue one frame toward f.dst. Thread-safe and never blocks: bytes
@@ -129,15 +138,13 @@ class Transport {
   /// buffer.
   virtual void send(Frame&& f) = 0;
 
-  /// Best-effort drain of the outbound path (bounded wait).
-  virtual void flush() = 0;
-
-  /// Publish this process's terminal RankState to every peer.
-  virtual void announce(int state) = 0;
-
-  /// Wait (up to `linger`) for every peer to stop, then tear down. After
-  /// close() the sink is never called again.
-  virtual void close(std::chrono::milliseconds linger) = 0;
+  /// End of a run, once the local ranks are done: send every peer a kFin
+  /// carrying `state` (the local rank's terminal RankState) behind the
+  /// frames already queued, wait up to 2 s for them to drain and up to 2 s
+  /// for every peer's stop, then tear down. After finish() the sink is
+  /// never called again. A no-op on inproc, whose rank threads mark their
+  /// own terminal state.
+  virtual void finish(int state) = 0;
 };
 
 [[nodiscard]] std::unique_ptr<Transport> make_inproc_transport(int world);

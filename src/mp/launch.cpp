@@ -110,8 +110,7 @@ int run_child(const std::string& body_name, const TransportOptions& topt,
   io.args = std::move(args);
   std::optional<Communicator> comm;
   try {
-    comm.emplace(topt);
-    comm->set_fault_plan(plan);
+    comm.emplace(topt, plan);
     comm->run([&](RankContext& ctx) {
       if (reliable) ctx.set_reliable(true);
       it->second(ctx, io);
@@ -197,8 +196,7 @@ LaunchResult run_inproc(const LaunchOptions& opt, SpmdBodyFn fn) {
   res.ranks.resize(static_cast<std::size_t>(opt.world));
   std::vector<BodyCtx> ios(static_cast<std::size_t>(opt.world));
   for (auto& io : ios) io.args = opt.args;
-  Communicator comm(opt.world);
-  comm.set_fault_plan(opt.plan);
+  Communicator comm(opt.world, opt.plan);
   try {
     comm.run([&](RankContext& ctx) {
       if (opt.reliable) ctx.set_reliable(true);
@@ -323,6 +321,13 @@ LaunchResult run_spmd(const LaunchOptions& opt) {
   res.ranks.resize(w);
   bool any_error = false;
   bool any_rank_failed = false;
+  // The error text follows Communicator::run's precedence: a root cause
+  // (exit 43) beats the RankFailedError cascade it set off (exit 42),
+  // which beats any other failure.
+  auto precedence = [](int code) {
+    return code == 43 ? 0 : code == 42 ? 1 : 2;
+  };
+  int error_from = 3;
   for (std::size_t r = 0; r < w; ++r) {
     RankResult& rr = res.ranks[r];
     const int st = status[r];
@@ -351,8 +356,11 @@ LaunchResult run_spmd(const LaunchOptions& opt) {
     } else if (rr.exit_code != 0) {
       any_error = true;
     }
-    if (res.error.empty() && !rr.error.empty() && rr.exit_code != 0)
+    if (!rr.error.empty() && rr.exit_code != 0 &&
+        precedence(rr.exit_code) < error_from) {
+      error_from = precedence(rr.exit_code);
       res.error = rr.error;
+    }
   }
   if (timed_out)
     res.outcome = LaunchResult::kTimeout;

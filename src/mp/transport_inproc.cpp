@@ -37,13 +37,12 @@ namespace {
 /// into the sink on the sending rank's thread. The seed behavior, byte
 /// for byte — no queueing, no progress thread, and no liveness machinery
 /// (rank threads mark their own terminal state in CommState directly, so
-/// announce/close are no-ops).
+/// finish is a no-op).
 class InprocTransport final : public Transport {
  public:
   explicit InprocTransport(int world) : world_(world) {}
 
   [[nodiscard]] const char* name() const override { return "inproc"; }
-  [[nodiscard]] bool cross_process() const override { return false; }
   [[nodiscard]] int local_rank() const override { return -1; }
 
   void start(Sink* sink) override { sink_ = sink; }
@@ -54,9 +53,7 @@ class InprocTransport final : public Transport {
     sink_->deliver(std::move(f));
   }
 
-  void flush() override {}
-  void announce(int /*state*/) override {}
-  void close(std::chrono::milliseconds /*linger*/) override {}
+  void finish(int /*state*/) override {}
 
  private:
   int world_;

@@ -14,9 +14,16 @@ constexpr std::size_t kReadChunk = std::size_t{1} << 16;
 ProgressTransport::ProgressTransport(int world, int rank)
     : world_(world),
       rank_(rank),
-      peers_(std::make_unique<Peer[]>(static_cast<std::size_t>(world))) {}
+      peers_(std::make_unique<Peer[]>(static_cast<std::size_t>(world))) {
+  if (rank < 0 || rank >= world)
+    throw std::invalid_argument("rank must be in [0, world)");
+}
 
 void ProgressTransport::start(Sink* sink) {
+  if (sink_ != nullptr)
+    throw std::logic_error(
+        "a cross-process Communicator supports exactly one run(): the "
+        "rendezvous handshake cannot be replayed");
   sink_ = sink;
   handshake(std::chrono::steady_clock::now() + kHandshakeTimeout);
   progress_ = std::thread([this] { progress_loop(); });
@@ -49,19 +56,7 @@ void ProgressTransport::send(Frame&& f) {
   wake();
 }
 
-void ProgressTransport::flush() {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(2000);
-  for (;;) {
-    bool clean = true;
-    for (int p = 0; p < world_ && clean; ++p)
-      clean = p == rank_ || !has_output(p);
-    if (clean || std::chrono::steady_clock::now() > deadline) return;
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-}
-
-void ProgressTransport::announce(int state) {
+void ProgressTransport::finish(int state) {
   for (int p = 0; p < world_; ++p) {
     if (p == rank_) continue;
     Frame f;
@@ -71,16 +66,16 @@ void ProgressTransport::announce(int state) {
     f.seq = static_cast<std::uint64_t>(state);
     send(std::move(f));
   }
-}
-
-void ProgressTransport::close(std::chrono::milliseconds linger) {
-  const auto deadline = std::chrono::steady_clock::now() + linger;
-  for (;;) {
-    bool all = true;
-    for (int p = 0; p < world_ && all; ++p)
-      all = p == rank_ || stop_reported(p);
-    if (all || std::chrono::steady_clock::now() > deadline) break;
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  // Drain every peer's bytes, the kFin last, then wait for every peer's
+  // stop, so all processes agree on the outcomes before the runner picks
+  // what to throw. Each phase gives up after 2 s.
+  for (const bool drain : {true, false}) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(2000);
+    for (int p = 0; p < world_; ++p)
+      while (p != rank_ && (drain ? has_output(p) : !stop_reported(p)) &&
+             std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
   stop_progress();
 }

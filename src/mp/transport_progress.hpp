@@ -1,19 +1,19 @@
 #pragma once
 // The progress engine shared by the process backends (shm, tcp).
 //
-// ProgressTransport implements the whole Transport contract once: send()'s
-// destination check and self-flow short-circuit, one outbound byte buffer
-// and one inbound reassembly buffer per peer, kFin handling and the
-// once-only peer_stopped report, announce/flush/close, and the progress
-// thread. A backend supplies four things: its handshake, a byte mover
-// (write_bytes/read_bytes over a ring or a socket, either of which may
-// take or give any piece of a frame), its liveness probe, and its wait for
-// work.
+// ProgressTransport implements the whole Transport contract once: the
+// one-start rule, send()'s destination check and self-flow short-circuit,
+// one outbound byte buffer and one inbound reassembly buffer per peer,
+// kFin handling and the once-only peer_stopped report, finish(), and the
+// progress thread. A backend supplies four things: its handshake, a byte
+// mover (write_bytes/read_bytes over a ring or a socket, either of which
+// may take or give any piece of a frame), its liveness probe, and its
+// wait for work.
 //
 // Each progress pass writes to every peer, then reads at most one
 // kReadChunk from every peer, probes liveness and waits for work; stop_ is
 // checked between passes. Bounding the pass is what keeps acks going out
-// and close() able to join while a peer floods this rank with frames.
+// and finish() able to join while a peer floods this rank with frames.
 
 #include <atomic>
 #include <chrono>
@@ -33,14 +33,11 @@ class ProgressTransport : public Transport {
   ProgressTransport(const ProgressTransport&) = delete;
   ProgressTransport& operator=(const ProgressTransport&) = delete;
 
-  [[nodiscard]] bool cross_process() const final { return true; }
   [[nodiscard]] int local_rank() const final { return rank_; }
 
   void start(Sink* sink) final;
   void send(Frame&& f) final;
-  void flush() final;
-  void announce(int state) override;
-  void close(std::chrono::milliseconds linger) final;
+  void finish(int state) override;
 
  protected:
   /// How long start() waits for every rank to attach (shm) or connect (tcp).
@@ -62,7 +59,8 @@ class ProgressTransport : public Transport {
                                      std::size_t n) = 0;
   virtual std::ptrdiff_t read_bytes(int peer, std::uint8_t* p,
                                     std::size_t n) = 0;
-  /// Once per pass: report peers that stopped without a kFin arriving.
+  /// Once per pass: report peers whose process is gone without a kFin
+  /// arriving.
   virtual void probe_liveness() {}
   /// End of a pass: spin, sleep or block until there may be work.
   virtual void wait_for_work(bool did_work) = 0;

@@ -6,13 +6,17 @@
 // this backend's byte mover: a frame streams through one in pieces, so no
 // frame size is tied to the ring's.
 //
-// Liveness: every rank publishes pid + a heartbeat its progress thread
-// bumps every pass. A peer is declared dead when its published state is
-// terminal (announce()), its pid probe reports ESRCH (the launcher reaps
-// children promptly, so a SIGKILLed rank's pid vanishes fast), or its
-// heartbeat goes stale (covers the zombie window when nobody reaped it).
-// A peer is only judged after its inbound ring is fully drained, so
-// messages it sent before dying are never misreported as lost.
+// Liveness: a peer that stops cleanly says so only with its kFin, which
+// the ring carries behind everything the peer sent. Its published state
+// alone proves nothing: a peer publishes it in finish() while its
+// outbound buffer may still hold the tail of a frame larger than the
+// ring. So this probe judges only a peer whose process is gone: its pid
+// probe reports ESRCH (the launcher reaps children promptly, so a
+// SIGKILLed rank's pid vanishes fast) or its heartbeat, bumped every
+// progress pass, goes stale (the zombie window when nobody reaped it).
+// Such a peer is judged once its inbound ring is drained, so frames it
+// sent before it went are delivered first, and its published state names
+// how it ended: still "running" means killed.
 
 #include <fcntl.h>
 #include <signal.h>
@@ -46,7 +50,7 @@ struct alignas(64) SegHead {
 
 struct alignas(64) RankSlot {
   std::atomic<std::int32_t> pid;
-  std::atomic<std::int32_t> state;  ///< rankstate::* published by announce()
+  std::atomic<std::int32_t> state;  ///< rankstate::* published by finish()
   std::atomic<std::int32_t> attached;
   std::atomic<std::uint64_t> heartbeat;
 };
@@ -78,9 +82,9 @@ class ShmTransport final : public detail::ProgressTransport {
 
   [[nodiscard]] const char* name() const override { return "shm"; }
 
-  void announce(int state) override {
+  void finish(int state) override {
     slot_ptr(rank_)->state.store(state, std::memory_order_release);
-    ProgressTransport::announce(state);
+    ProgressTransport::finish(state);
   }
 
  private:
@@ -231,18 +235,7 @@ class ShmTransport final : public detail::ProgressTransport {
     next_scan_ = now + std::chrono::milliseconds(5);
     for (int p = 0; p < world_; ++p) {
       if (p == rank_ || stop_reported(p)) continue;
-      // Only judge a peer once its inbound ring is drained: frames it sent
-      // before dying must be delivered, not misreported as lost.
-      RingHdr* r = ring_hdr(p, rank_);
-      if (r->tail.load(std::memory_order_acquire) !=
-          r->head.load(std::memory_order_relaxed))
-        continue;
       RankSlot* sl = slot_ptr(p);
-      int st = sl->state.load(std::memory_order_acquire);
-      if (st != rankstate::kRunning) {
-        report_stopped(p, st);
-        continue;
-      }
       const auto pid = sl->pid.load();
       bool dead = pid > 0 && ::kill(pid, 0) == -1 && errno == ESRCH;
       const auto up = static_cast<std::size_t>(p);
@@ -253,10 +246,14 @@ class ShmTransport final : public detail::ProgressTransport {
       } else if (now - hb_seen_[up] > std::chrono::milliseconds(3000)) {
         dead = true;  // zombie window: pid probe can't see an unreaped kill
       }
-      if (dead) {
-        st = sl->state.load(std::memory_order_acquire);  // close the race
-        report_stopped(p, st != rankstate::kRunning ? st : rankstate::kKilled);
-      }
+      // Judge a dead peer only once its inbound ring is drained: frames
+      // it sent before dying must be delivered, not misreported as lost.
+      RingHdr* r = ring_hdr(p, rank_);
+      if (!dead || r->tail.load(std::memory_order_acquire) !=
+                       r->head.load(std::memory_order_relaxed))
+        continue;
+      const int st = sl->state.load(std::memory_order_acquire);
+      report_stopped(p, st != rankstate::kRunning ? st : rankstate::kKilled);
     }
   }
 

@@ -24,6 +24,7 @@
 // RankFailedError text as an in-process kill of the same plan.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <bit>
 #include <csignal>
@@ -270,6 +271,15 @@ PDC_SPMD_BODY(conf_arrivals) {
   }
 }
 
+/// Length, hash and last word of a received payload.
+std::string words_digest(const std::vector<std::int64_t>& got) {
+  std::uint64_t h = 0;
+  for (const auto x : got)
+    h = h * 1099511628211ULL + static_cast<std::uint64_t>(x);
+  return std::to_string(got.size()) + ":" + std::to_string(h) + ":" +
+         std::to_string(got.empty() ? 0 : got.back());
+}
+
 PDC_SPMD_BODY(conf_big_frame) {
   // One 65,536-word frame (512 KiB on the wire) to the right neighbour:
   // twice the shm ring's capacity, so the ring must carry it in pieces.
@@ -280,13 +290,33 @@ PDC_SPMD_BODY(conf_big_frame) {
   for (std::int64_t i = 0; i < kWords; ++i)
     payload[static_cast<std::size_t>(i)] = r * kWords + i * 7 - 3;
   ctx.send((r + 1) % p, 3, std::move(payload));
-  const auto got = ctx.recv((r + p - 1) % p, 3).data;
-  std::uint64_t h = 0;
-  for (const auto x : got)
-    h = h * 1099511628211ULL + static_cast<std::uint64_t>(x);
-  io.out = std::to_string(got.size()) + ":" + std::to_string(h) + ":" +
-           std::to_string(got.empty() ? 0 : got.back());
+  io.out = words_digest(ctx.recv((r + p - 1) % p, 3).data);
   append_arrivals(ctx, io.out);
+}
+
+PDC_SPMD_BODY(conf_send_and_finish) {
+  // Rank 0 sends every other rank one 4 MiB frame, 16 times the shm
+  // ring's capacity, and returns at once: most of each frame, and the
+  // kFin behind it, still wait in its outbound buffer when it finishes.
+  // Every receiver must get the whole frame.
+  constexpr std::size_t kWords = std::size_t{1} << 19;
+  if (ctx.rank() == 0) {
+    std::vector<std::int64_t> payload(kWords);
+    for (std::size_t i = 0; i < kWords; ++i)
+      payload[i] = static_cast<std::int64_t>(i * 5 + 1);
+    for (int d = 1; d < ctx.size(); ++d) ctx.send(d, 9, payload);
+    io.out = "sent " + std::to_string(ctx.size() - 1);
+  } else {
+    io.out = words_digest(ctx.recv(0, 9).data);
+  }
+  append_arrivals(ctx, io.out);
+}
+
+PDC_SPMD_BODY(conf_root_cause) {
+  // Rank 1 throws while rank 0 waits on it: the world must report rank
+  // 1's exception, not the RankFailedError it sets off in rank 0.
+  if (ctx.rank() == 1) throw std::runtime_error("boom");
+  if (ctx.rank() == 0) io.out = join64(ctx.recv(1, 4).data);
 }
 
 // ----------------------------------------------------- the test rig ---
@@ -296,10 +326,16 @@ struct Cell {
   int world;
 };
 
-std::string cell_name(const ::testing::TestParamInfo<Cell>& info) {
-  std::string n = mp::to_string(info.param.kind);
+std::string kind_name(
+    const ::testing::TestParamInfo<mp::TransportKind>& info) {
+  std::string n = mp::to_string(info.param);
   n[0] = static_cast<char>(std::toupper(static_cast<unsigned char>(n[0])));
-  return n + "P" + std::to_string(info.param.world);
+  return n;
+}
+
+std::string cell_name(const ::testing::TestParamInfo<Cell>& info) {
+  return kind_name({info.param.kind, info.index}) + "P" +
+         std::to_string(info.param.world);
 }
 
 launch::LaunchResult run_body(mp::TransportKind kind, int world,
@@ -427,6 +463,17 @@ TEST_P(TransportConformance, FrameLargerThanTheShmRing) {
   expect_conformant(GetParam(), "conf_big_frame");
 }
 
+TEST_P(TransportConformance, SendAndFinishWithAFrameLargerThanTheShmRing) {
+  // A sender that finishes with bytes still queued is not finished for
+  // its receivers until its kFin lands behind them. One world can pass
+  // even when that breaks, so the body is replayed.
+  const int replays = pt::stress_iters(20);
+  for (int i = 0; i < replays && !HasFailure(); ++i) {
+    SCOPED_TRACE("replay " + std::to_string(i));
+    expect_conformant(GetParam(), "conf_send_and_finish");
+  }
+}
+
 // Every execution shape of the same strip world — {4,1}, {4,2} and
 // {4,4} — produces the identical per-rank digest: hybrid threading
 // changes wall-clock only, never a byte of results, accounting, or wire
@@ -524,16 +571,19 @@ TEST_P(TransportDeadPeer, ArrivalsAndPeerStopNotifications) {
   EXPECT_EQ(res.ranks[0].out, "sum=33 arrivals=3");
 }
 
+TEST_P(TransportDeadPeer, RootCauseBeatsTheFailureItSetsOff) {
+  // As in one in-process run: the exception that ended rank 1 outranks
+  // the RankFailedError rank 0 then throws.
+  const auto res = run_body(GetParam(), 2, "conf_root_cause");
+  EXPECT_EQ(res.outcome, launch::LaunchResult::kError);
+  EXPECT_EQ(res.error, "boom");
+}
+
 INSTANTIATE_TEST_SUITE_P(AllTransports, TransportDeadPeer,
                          ::testing::Values(mp::TransportKind::kInproc,
                                            mp::TransportKind::kShm,
                                            mp::TransportKind::kTcp),
-                         [](const auto& info) {
-                           std::string n = mp::to_string(info.param);
-                           n[0] = static_cast<char>(
-                               std::toupper(static_cast<unsigned char>(n[0])));
-                           return n;
-                         });
+                         kind_name);
 
 // -------------------------------- fuzz over process transports (sat. 2) ---
 
@@ -644,12 +694,36 @@ TEST_P(TransportFuzz, ReplaysTheKnownHangSeed) {
 INSTANTIATE_TEST_SUITE_P(ProcessTransports, TransportFuzz,
                          ::testing::Values(mp::TransportKind::kShm,
                                            mp::TransportKind::kTcp),
-                         [](const auto& info) {
-                           std::string n = mp::to_string(info.param);
-                           n[0] = static_cast<char>(
-                               std::toupper(static_cast<unsigned char>(n[0])));
-                           return n;
-                         });
+                         kind_name);
+
+// ------------------------------------------------- the one-run rule ---
+
+class ProcessCommunicator
+    : public ::testing::TestWithParam<mp::TransportKind> {};
+
+TEST_P(ProcessCommunicator, SecondRunThrowsLogicError) {
+  // A world of one: this process completes the rendezvous alone.
+  mp::TransportOptions topt;
+  topt.kind = GetParam();
+  topt.world = 1;
+  const std::string tag = "pdc_onerun_" + std::to_string(::getpid());
+  topt.endpoint = GetParam() == mp::TransportKind::kShm
+                      ? "/" + tag
+                      : ::testing::TempDir() + tag;
+  mp::Communicator comm(topt);
+  int runs = 0;
+  comm.run([&](mp::RankContext& ctx) {
+    ++runs;
+    ctx.barrier();
+  });
+  EXPECT_THROW(comm.run([&](mp::RankContext&) { ++runs; }), std::logic_error);
+  EXPECT_EQ(runs, 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(ProcessTransports, ProcessCommunicator,
+                         ::testing::Values(mp::TransportKind::kShm,
+                                           mp::TransportKind::kTcp),
+                         kind_name);
 
 // ------------------------------------------------------ wire codec ---
 
