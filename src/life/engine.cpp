@@ -58,10 +58,12 @@ stencil::RunResult run_ranks(Grid& board, int generations,
         // The row halos are filled from received messages (never by
         // sync_halo_rows); the column wrap stays a local concern.
         PackedGrid strip(r1 - r0, board.cols(), board.boundary());
+        PDC_TRACE_SCOPE("life.convert");
         strip.load_rows(board, r0);
         return strip;
       },
       [&](const PackedGrid& strip, std::size_t r0) {
+        PDC_TRACE_SCOPE("life.convert");
         strip.store_rows(board, r0);
       },
       &traffic);
@@ -104,9 +106,10 @@ stencil::RunResult run_plan(Grid& board, int generations,
   if (messages_out != nullptr) *messages_out = 0;
   if (payload_words_out != nullptr) *payload_words_out = 0;
   // The conversions in and out run on the plan's team as well, each
-  // thread on its block of rows.
+  // thread on its block of rows, in a life.convert span of its own.
   const auto by_rows = [&](const auto& convert) {
     core::Team::run(plan.threads_per_rank, [&](core::TeamContext& tc) {
+      PDC_TRACE_SCOPE("life.convert");
       const auto [lo, hi] = tc.block_range(0, board.rows());
       convert(lo, hi);
     });

@@ -3,6 +3,7 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 namespace pdc::life {
 
@@ -24,21 +25,22 @@ Grid::Grid(std::size_t rows, std::size_t cols, Boundary boundary)
     : rows_(rows),
       cols_(cols),
       boundary_(boundary),
-      cells_(cell_count(rows, cols), 0) {}
+      cells_(cell_count(rows, cols)) {}
 
 bool Grid::get(std::size_t r, std::size_t c) const {
   if (r >= rows_ || c >= cols_) throw std::out_of_range("grid index");
-  return cells_[r * cols_ + c] != 0;
+  return cells_.data()[r * cols_ + c] != 0;
 }
 
 void Grid::set(std::size_t r, std::size_t c, bool alive) {
   if (r >= rows_ || c >= cols_) throw std::out_of_range("grid index");
-  cells_[r * cols_ + c] = alive ? 1 : 0;
+  cells_.data()[r * cols_ + c] = alive ? 1 : 0;
 }
 
 std::size_t Grid::population() const {
+  const std::uint8_t* cells = cells_.data();
   std::size_t n = 0;
-  for (auto c : cells_) n += c;
+  for (std::size_t i = 0; i < cells_.size(); ++i) n += cells[i];
   return n;
 }
 
@@ -57,8 +59,8 @@ int Grid::live_neighbors(std::size_t r, std::size_t c) const {
                  cc >= static_cast<long>(cols_)) {
         continue;
       }
-      count += cells_[static_cast<std::size_t>(rr) * cols_ +
-                      static_cast<std::size_t>(cc)];
+      count += cells_.data()[static_cast<std::size_t>(rr) * cols_ +
+                             static_cast<std::size_t>(cc)];
     }
   }
   return count;
@@ -75,7 +77,7 @@ std::string Grid::to_string() const {
   out.reserve(rows_ * (cols_ + 1));
   for (std::size_t r = 0; r < rows_; ++r) {
     for (std::size_t c = 0; c < cols_; ++c)
-      out += cells_[r * cols_ + c] ? 'O' : '.';
+      out += cells_.data()[r * cols_ + c] ? 'O' : '.';
     out += '\n';
   }
   return out;

@@ -64,7 +64,10 @@ stencil::RunResult run_message_passing(Grid& board, int generations,
 /// interior while the halo is received. shm/tcp worlds are
 /// launched through mp::launch::run_spmd instead. Every shape is
 /// bit-identical to the reference; the result carries the stencil
-/// engine's skip accounting (tiles computed/skipped per run).
+/// engine's skip accounting (tiles computed/skipped per run). Each
+/// Grid<->PackedGrid conversion (a team member's block of rows on one
+/// rank, a strip's load or store on several) is a `life.convert` trace
+/// span on the thread that runs it.
 stencil::RunResult run_plan(Grid& board, int generations,
                             const stencil::ExecPlan& plan,
                             const EngineOptions& opt = {},

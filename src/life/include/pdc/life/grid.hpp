@@ -6,7 +6,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
+
+#include "pdc/core/zeroed_buffer.hpp"
 
 namespace pdc::life {
 
@@ -18,8 +19,11 @@ enum class Boundary {
 
 class Grid {
  public:
-  /// Throws std::invalid_argument, before allocating, on a zero dimension
-  /// or a cell count, rows x cols, that does not fit in size_t.
+  /// All cells dead. The board is a core::ZeroedBuffer: nothing writes
+  /// its zeros, so its pages are first touched by whoever fills it. Throws
+  /// std::invalid_argument, before allocating, on a zero dimension or a
+  /// cell count, rows x cols, that does not fit in size_t, and
+  /// std::bad_alloc on a board too large to map.
   Grid(std::size_t rows, std::size_t cols,
        Boundary boundary = Boundary::kTorus);
 
@@ -55,7 +59,7 @@ class Grid {
   std::size_t rows_;
   std::size_t cols_;
   Boundary boundary_;
-  std::vector<std::uint8_t> cells_;
+  core::ZeroedBuffer<std::uint8_t> cells_;
 };
 
 /// Parse a plaintext pattern ('O' or '*' alive, '.' or ' ' dead; rows are

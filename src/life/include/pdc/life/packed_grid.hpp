@@ -36,8 +36,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
+#include "pdc/core/zeroed_buffer.hpp"
 #include "pdc/life/grid.hpp"
 
 namespace pdc::life {
@@ -150,7 +150,10 @@ class PackedGrid {
   std::size_t words_;
   Boundary boundary_;
   std::uint64_t tail_mask_;
-  std::vector<std::uint64_t> data_;  ///< (rows + 2) x (words + 2)
+  /// (rows + 2) x (words + 2), zero until written. Under kDead nothing
+  /// writes the halo words, the padding bits or a halo row beyond the
+  /// board's edge, and the kernel reads their zeros as dead neighbours.
+  core::ZeroedBuffer<std::uint64_t> data_;
 };
 
 namespace detail {

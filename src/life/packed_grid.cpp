@@ -283,7 +283,7 @@ PackedGrid::PackedGrid(std::size_t rows, std::size_t cols, Boundary boundary)
       boundary_(boundary),
       tail_mask_(cols % kBits == 0 ? ~std::uint64_t{0}
                                    : (std::uint64_t{1} << (cols % kBits)) - 1),
-      data_(padded_size(rows, cols), 0) {}
+      data_(padded_size(rows, cols)) {}
 
 PackedGrid::PackedGrid(const Grid& grid)
     : PackedGrid(grid.rows(), grid.cols(), grid.boundary()) {

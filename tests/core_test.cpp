@@ -9,10 +9,13 @@
 #include <cstdint>
 #include <exception>
 #include <limits>
+#include <new>
 #include <numeric>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "pdc/core/parallel_for.hpp"
@@ -21,6 +24,7 @@
 #include "pdc/core/team.hpp"
 #include "pdc/core/team_pool.hpp"
 #include "pdc/core/work_steal.hpp"
+#include "pdc/core/zeroed_buffer.hpp"
 #include "pdc/obs/obs.hpp"
 
 namespace pc = pdc::core;
@@ -889,4 +893,111 @@ TEST(Team, ManySmallTeamsBackToBack) {
     });
     ASSERT_EQ(hits.load(), 6);
   }
+}
+
+// ---------------------------------------------------------- zeroed buffer ---
+
+namespace {
+
+constexpr std::size_t kCut = pc::kHugePageBytes;
+
+/// Byte sizes on both sides of the huge-page cut.
+constexpr std::size_t kCutSizes[] = {1, kCut - 1, kCut, kCut + 1};
+
+/// A buffer of `n` bytes, each a function of its index and `seed`.
+pc::ZeroedBuffer<std::uint8_t> patterned(std::size_t n, unsigned seed) {
+  pc::ZeroedBuffer<std::uint8_t> b(n);
+  for (std::size_t i = 0; i < n; ++i)
+    b.data()[i] = static_cast<std::uint8_t>(i * 131 + seed);
+  return b;
+}
+
+}  // namespace
+
+TEST(ZeroedBuffer, StartsZeroAndIsWritableAroundTheCut) {
+  for (const std::size_t n : kCutSizes) {
+    pc::ZeroedBuffer<std::uint8_t> b(n);
+    ASSERT_EQ(b.size(), n);
+    ASSERT_NE(b.data(), nullptr);
+    EXPECT_TRUE(std::all_of(b.data(), b.data() + n,
+                            [](std::uint8_t v) { return v == 0; }))
+        << n << " bytes";
+    // Mapped buffers start on a huge-page boundary.
+    if (n >= kCut) {
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b.data()) % kCut, 0u);
+    }
+    for (std::size_t i = 0; i < n; ++i)
+      b.data()[i] = static_cast<std::uint8_t>(i + 1);
+    std::size_t wrong = 0;
+    for (std::size_t i = 0; i < n; ++i)
+      wrong += b.data()[i] == static_cast<std::uint8_t>(i + 1) ? 0 : 1;
+    EXPECT_EQ(wrong, 0u) << n << " bytes";
+  }
+  pc::ZeroedBuffer<std::uint64_t> one(1);
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_EQ(one.data()[0], 0u);
+  one.data()[0] = ~std::uint64_t{0};
+  EXPECT_EQ(one.data()[0], ~std::uint64_t{0});
+}
+
+TEST(ZeroedBuffer, CopyMoveAndEqualityWithinAndAcrossTheCut) {
+  for (const std::size_t a : kCutSizes) {
+    for (const std::size_t b : kCutSizes) {
+      SCOPED_TRACE(std::to_string(a) + " and " + std::to_string(b) +
+                   " bytes");
+      const auto x = patterned(a, 1);
+      const auto y = patterned(b, 2);
+      EXPECT_FALSE(x == y);
+
+      pc::ZeroedBuffer<std::uint8_t> c(x);  // copy
+      EXPECT_EQ(c, x);
+      EXPECT_NE(c.data(), x.data());
+      c = y;  // copy-assign, in place when the sizes match
+      EXPECT_EQ(c, y);
+      EXPECT_EQ(c.size(), b);
+
+      pc::ZeroedBuffer<std::uint8_t> m(std::move(c));  // move
+      EXPECT_EQ(m, y);
+      EXPECT_EQ(c.size(), 0u);
+      EXPECT_EQ(c.data(), nullptr);
+      c = x;  // a moved-from buffer takes a copy
+      EXPECT_EQ(c, x);
+      c = std::move(m);  // move-assign
+      EXPECT_EQ(c, y);
+
+      auto& alias = c;
+      c = std::as_const(alias);  // self copy-assignment
+      EXPECT_EQ(c, y);
+      c = std::move(alias);  // self move-assignment
+      EXPECT_EQ(c, y);
+    }
+  }
+}
+
+TEST(ZeroedBuffer, EqualityComparesSizeAndEveryByte) {
+  EXPECT_EQ(pc::ZeroedBuffer<std::uint8_t>(), pc::ZeroedBuffer<std::uint8_t>());
+  EXPECT_EQ(pc::ZeroedBuffer<std::uint8_t>(0),
+            pc::ZeroedBuffer<std::uint8_t>());
+  EXPECT_FALSE(pc::ZeroedBuffer<std::uint8_t>(3) ==
+               pc::ZeroedBuffer<std::uint8_t>(4));
+  for (const std::size_t n : kCutSizes) {
+    auto a = patterned(n, 7);
+    const auto b = patterned(n, 7);
+    EXPECT_EQ(a, b);
+    a.data()[n - 1] ^= 1;
+    EXPECT_FALSE(a == b) << n << " bytes";
+  }
+}
+
+// Every size that cannot be mapped throws std::bad_alloc, before mapping:
+// an element count whose bytes overflow, a byte count whose round-up to
+// whole huge pages would wrap, and 2^48 bytes, more than the address space.
+TEST(ZeroedBuffer, UnmappableSizesThrowBadAlloc) {
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  using Bytes = pc::ZeroedBuffer<std::uint8_t>;
+  EXPECT_THROW((void)pc::ZeroedBuffer<std::uint64_t>(kMax / 4),
+               std::bad_alloc);
+  EXPECT_THROW((void)Bytes(kMax), std::bad_alloc);
+  EXPECT_THROW((void)Bytes(kMax - kCut + 2), std::bad_alloc);
+  EXPECT_THROW((void)Bytes(std::size_t{1} << 48), std::bad_alloc);
 }

@@ -3,10 +3,13 @@
 // must produce bit-identical boards.
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <new>
 #include <random>
 #include <span>
 #include <string>
@@ -14,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "pdc/core/zeroed_buffer.hpp"
 #include "pdc/life/engine.hpp"
 #include "pdc/life/grid.hpp"
 #include "pdc/life/packed_grid.hpp"
@@ -35,6 +39,29 @@ TEST(Grid, ConstructionAndBounds) {
   // 2^32 x 2^32 cells wrap to a 0-byte board; rejected before allocating.
   EXPECT_THROW(pl::Grid(std::size_t{1} << 32, std::size_t{1} << 32),
                std::invalid_argument);
+  // SIZE_MAX cells fit in size_t, but rounding them up to whole huge
+  // pages would wrap; 2^48 cells (256 TiB) fit but cannot be mapped.
+  EXPECT_THROW(pl::Grid(3, std::numeric_limits<std::size_t>::max() / 3),
+               std::bad_alloc);
+  EXPECT_THROW(pl::Grid(std::size_t{1} << 24, std::size_t{1} << 24),
+               std::bad_alloc);
+}
+
+// A fresh board is zero without being written: its pages are first
+// touched by its fill, not also by the constructor. mincore reports the
+// 4 MiB board's pages as not resident until something touches them.
+TEST(Grid, FreshBoardLeavesItsPagesUntouched) {
+  const pl::Grid g(2048, 2048);
+  const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  const auto addr = reinterpret_cast<std::uintptr_t>(g.row_data(0));
+  const std::uintptr_t first = addr & ~(page - 1);
+  const std::size_t len = addr - first + std::size_t{2048} * 2048;
+  std::vector<unsigned char> resident((len + page - 1) / page);
+  ASSERT_EQ(mincore(reinterpret_cast<void*>(first), len, resident.data()), 0);
+  EXPECT_EQ(std::count_if(resident.begin(), resident.end(),
+                          [](unsigned char v) { return (v & 1) != 0; }),
+            0);
+  EXPECT_EQ(g.population(), 0u);
 }
 
 TEST(Grid, NeighborCountBounded) {
@@ -347,6 +374,35 @@ TEST(PackedGrid, EqualityIgnoresGhostAndPaddingBits) {
   EXPECT_TRUE(a == b);
   EXPECT_EQ(a.population(), b.population());
   EXPECT_EQ(a.unpack(), b.unpack());
+}
+
+// Under kDead nothing writes a board's halo words, padding bits or (on
+// one rank) halo rows: the kernel reads them as dead neighbours, so a
+// fresh board must read 0 there whether calloc or fresh mapped pages back
+// it. 2048 x 8190 is past the 2 MiB cut (2050 rows x 130 words x 8 B =
+// 2.13 MB), with a tail of padding bits in each row's last word.
+TEST(PackedGrid, FreshDeadBoardReadsZeroOutsideItsCells) {
+  for (const auto& [rows, cols] : {Shape{3, 70}, Shape{2048, 8190}}) {
+    pl::PackedGrid g(rows, cols, pl::Boundary::kDead);
+    const std::size_t words = g.words_per_row();
+    const std::size_t bytes = (rows + 2) * (words + 2) * sizeof(std::uint64_t);
+    EXPECT_EQ(bytes >= pdc::core::kHugePageBytes, rows > 3);
+    const auto outside_is_zero = [&](const std::uint64_t* payload) {
+      return payload[-1] == 0 && payload[words] == 0 &&
+             (payload[words - 1] & ~g.tail_mask()) == 0;
+    };
+    const auto all_zero = [&](const std::uint64_t* payload) {
+      return std::all_of(payload - 1, payload + words + 1,
+                         [](std::uint64_t w) { return w == 0; });
+    };
+    EXPECT_TRUE(all_zero(g.halo_above_words())) << rows << "x" << cols;
+    EXPECT_TRUE(all_zero(g.halo_below_words())) << rows << "x" << cols;
+    std::size_t bad_rows = 0;
+    for (std::size_t r = 0; r < rows; ++r)
+      bad_rows += outside_is_zero(g.row_words(r)) ? 0 : 1;
+    EXPECT_EQ(bad_rows, 0u) << rows << "x" << cols;
+    EXPECT_EQ(g.population(), 0u);
+  }
 }
 
 namespace {

@@ -549,6 +549,32 @@ TEST_F(Trace, CapturesSpansFromThreeLayers) {
   EXPECT_TRUE(names.contains("mp.recv"));
 }
 
+// life::run_plan spans every Grid<->PackedGrid conversion on the thread
+// that runs it: each team member's block in and out on {1,2}, each
+// strip's load and store on {2,1}. One generation: 4 spans, 2 a thread.
+TEST_F(Trace, LifeRunPlanSpansEveryConversionOnItsThread) {
+  for (const pdc::stencil::ExecPlan plan :
+       {pdc::stencil::ExecPlan{.ranks = 1, .threads_per_rank = 2},
+        pdc::stencil::ExecPlan{.ranks = 2, .threads_per_rank = 1}}) {
+    SCOPED_TRACE("plan {" + std::to_string(plan.ranks) + "," +
+                 std::to_string(plan.threads_per_rank) + "}");
+    auto board = pdc::life::random_grid(64, 64, 0.3, 11);
+    obs::clear_trace();
+    obs::set_tracing_enabled(true);
+    pdc::life::run_plan(board, 1, plan);
+    obs::set_tracing_enabled(false);
+    std::vector<int> per_thread;
+    for (const auto& th : obs::trace_threads()) {
+      const auto n = std::count_if(
+          th.events.begin(), th.events.end(), [](const obs::TraceEvent& e) {
+            return std::string_view(e.name) == "life.convert";
+          });
+      if (n > 0) per_thread.push_back(static_cast<int>(n));
+    }
+    EXPECT_EQ(per_thread, (std::vector<int>{2, 2}));
+  }
+}
+
 TEST_F(Trace, CapacityCapDropsAndCounts) {
   obs::set_trace_capacity(16);
   obs::set_tracing_enabled(true);
