@@ -1,6 +1,7 @@
 // CS40-reduce / T3-scan — "parallel reductions on large arrays" (the CUDA
-// lab's CPU substitute) and the Scan paradigm: tree-reduction and Blelloch
-// scan scaling with threads, plus pack and histogram applications.
+// lab's CPU substitute) and the Scan paradigm: the reduction (per-thread
+// partials, sequential combine) and the three-phase block scan scaling
+// with threads, plus pack and histogram applications.
 //
 // Expected shape: reduce/scan speed up to the core count; scan costs ~2x
 // a reduce (two passes); pack tracks scan.
@@ -36,7 +37,8 @@ void print_reduction_study() {
             pdc::core::parallel_reduce<double>(xs, 0.0, threads);
         (void)sink;
       });
-  std::cout << "== CS40-reduce: tree reduction of 2^23 doubles ==\n"
+  std::cout << "== CS40-reduce: per-thread partial reduction of 2^23 "
+               "doubles ==\n"
             << reduce_study.to_table() << "\n";
 
   std::vector<double> out(n);
@@ -44,8 +46,8 @@ void print_reduction_study() {
       pdc::perf::run_strong_scaling(cfg, [&](int threads) {
         pdc::core::parallel_inclusive_scan<double>(xs, out, 0.0, threads);
       });
-  std::cout << "== T3-scan: Blelloch-style inclusive scan of 2^23 doubles "
-               "==\n"
+  std::cout << "== T3-scan: three-phase block inclusive scan of 2^23 "
+               "doubles ==\n"
             << scan_study.to_table() << "\n";
 }
 

@@ -4,6 +4,7 @@
 #include <mutex>
 #include <stdexcept>
 
+#include "pdc/core/team.hpp"
 #include "pdc/mp/comm.hpp"
 
 namespace pdc::algo {
@@ -32,12 +33,9 @@ std::vector<std::int64_t> mp_sample_sort(std::vector<std::int64_t> data,
 
     // Block partition of the input (each rank copies its own block; the
     // shared vector is only read here, before any rank writes).
-    const std::size_t base = n / up;
-    const std::size_t extra = n % up;
-    const std::size_t lo = ur * base + std::min(ur, extra);
-    const std::size_t len = base + (ur < extra ? 1 : 0);
+    const auto [lo, hi] = core::block_range(0, n, ur, up);
     std::vector<std::int64_t> local(data.begin() + static_cast<long>(lo),
-                                    data.begin() + static_cast<long>(lo + len));
+                                    data.begin() + static_cast<long>(hi));
 
     // Phase 1: local sort.
     std::sort(local.begin(), local.end());

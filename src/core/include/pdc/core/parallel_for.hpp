@@ -27,7 +27,6 @@
 #include <cstddef>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "pdc/core/team.hpp"
@@ -135,10 +134,10 @@ void parallel_for(std::size_t begin, std::size_t end, const ForOptions& opt,
       static obs::Counter& c_attempts = obs::counter("core.steal_attempts");
       static obs::Counter& c_steals = obs::counter("core.steals");
       static obs::Counter& c_splits = obs::counter("core.splits");
-      const auto nthreads = static_cast<std::size_t>(opt.threads);
       // One deque per worker; vector<non-movable> is fine — the count is
       // fixed up front, so no relocation ever happens.
-      std::vector<WorkStealingDeque<detail::ForRange>> deques(nthreads);
+      std::vector<WorkStealingDeque<detail::ForRange>> deques(
+          static_cast<std::size_t>(opt.threads));
       Team::run(opt.threads, team_opt, [&](TeamContext& ctx) {
         const auto me = static_cast<std::size_t>(ctx.rank());
         auto& mine = deques[me];
@@ -169,30 +168,10 @@ void parallel_for(std::size_t begin, std::size_t end, const ForOptions& opt,
         if (lo < hi) mine.push({lo, hi});
         ctx.barrier();
 
-        while (true) {
-          if (auto r = mine.pop()) {
-            run_range(*r);
-            continue;
-          }
-          // Dry: hunt the other deques, oldest range first.
-          bool got = false;
-          bool contended = false;
-          for (std::size_t off = 1; off < nthreads && !got; ++off) {
-            auto& victim = deques[(me + off) % nthreads];
-            c_attempts.add(1);
-            if (auto r = victim.steal()) {
-              c_steals.add(1);
-              PDC_TRACE_SCOPE("core.for.steal");
-              run_range(*r);
-              got = true;
-            } else if (!victim.empty()) {
-              contended = true;  // lost a race on live work: retry sweep
-            }
-          }
-          if (got) continue;
-          if (!contended) break;  // every deque observed empty
-          std::this_thread::yield();
-        }
+        // Every range is seeded before the drain, so nothing more comes.
+        detail::steal_drain(
+            deques, me, run_range, [] { return true; }, c_attempts, c_steals,
+            "core.for.steal");
       });
       break;
     }

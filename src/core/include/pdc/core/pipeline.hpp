@@ -2,16 +2,15 @@
 // Pipeline parallelism (CS87 "parallel programming patterns"): a chain of
 // stages, each running on its own thread, connected by bounded buffers.
 // Throughput approaches 1/max(stage time) instead of 1/sum(stage time);
-// FIFO buffers and one thread per stage preserve item order.
+// FIFO buffers and one thread per stage preserve item order. A run is one
+// Team region on the TeamPool, so repeated runs start no threads.
 
-#include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
+#include "pdc/core/team.hpp"
 #include "pdc/sync/bounded_buffer.hpp"
 
 namespace pdc::core {
@@ -32,12 +31,14 @@ class Pipeline {
   }
 
   /// Push all `inputs` through the pipeline; returns the outputs in input
-  /// order. Rebuilds the stage threads per call (fork-join semantics).
-  /// If a stage throws, the pipeline winds down and run() rethrows the
-  /// first exception once every thread has joined.
+  /// order. Runs as one Team region of stages() + 2 ranks: rank 0 (the
+  /// caller) feeds the inputs, rank s runs stage s - 1, and the last rank
+  /// collects the outputs. If a stage throws, the pipeline winds down and
+  /// run() rethrows once every rank has finished; when several stages
+  /// throw, the lowest stage's exception wins (Team::run's rule).
   std::vector<T> run(const std::vector<T>& inputs) {
     const std::size_t n_stages = stages_.size();
-    // buffers[i] connects stage i-1 -> stage i; buffers[0] is the source,
+    // buffers[r] connects rank r -> rank r + 1; buffers[0] is the source,
     // buffers[n_stages] the sink.
     std::vector<std::unique_ptr<sync::BoundedBuffer<T>>> buffers;
     for (std::size_t i = 0; i <= n_stages; ++i)
@@ -46,44 +47,39 @@ class Pipeline {
 
     std::vector<T> outputs;
     outputs.reserve(inputs.size());
-    std::mutex error_m;
-    std::exception_ptr error;
-    {
-      std::vector<std::jthread> workers;
-      for (std::size_t s = 0; s < n_stages; ++s) {
-        workers.emplace_back([&, s] {
-          auto& in = *buffers[s];
-          auto& out = *buffers[s + 1];
-          try {
-            // A refused push means a later stage failed: stop too.
-            while (auto item = in.pop())
-              if (!out.push(stages_[s](*item))) break;
-          } catch (...) {
-            std::lock_guard lk(error_m);
-            if (!error) error = std::current_exception();
-          }
-          // Closing both sides lets the later stages drain what they hold
-          // and makes the earlier ones' next push fail, so after a failure
-          // every stage finishes.
-          in.close();
-          out.close();
-        });
+    Team::run(static_cast<int>(n_stages) + 2, [&](TeamContext& ctx) {
+      const auto r = static_cast<std::size_t>(ctx.rank());
+      const CloseOnExit ends{r > 0 ? buffers[r - 1].get() : nullptr,
+                             r <= n_stages ? buffers[r].get() : nullptr};
+      if (r == 0) {
+        for (const T& item : inputs)
+          if (!ends.out->push(item)) break;
+      } else if (r > n_stages) {
+        while (auto item = ends.in->pop()) outputs.push_back(std::move(*item));
+      } else {
+        // A refused push means a later stage failed: stop too.
+        while (auto item = ends.in->pop())
+          if (!ends.out->push(stages_[r - 1](*item))) break;
       }
-      std::jthread sink([&] {
-        while (auto item = buffers[n_stages]->pop())
-          outputs.push_back(std::move(*item));
-      });
-      for (const T& item : inputs)
-        if (!buffers[0]->push(item)) break;
-      buffers[0]->close();
-    }  // join all
-    if (error) std::rethrow_exception(error);
+    });
     return outputs;
   }
 
   [[nodiscard]] std::size_t stages() const { return stages_.size(); }
 
  private:
+  // Closes a rank's buffers however the rank leaves: the ranks after it
+  // drain what they hold and end, and the next push of the ranks before
+  // it fails, so after a failure every rank finishes instead of blocking.
+  struct CloseOnExit {
+    sync::BoundedBuffer<T>* in;   // null for the feeder
+    sync::BoundedBuffer<T>* out;  // null for the collector
+    ~CloseOnExit() {
+      if (in != nullptr) in->close();
+      if (out != nullptr) out->close();
+    }
+  };
+
   std::vector<Stage> stages_;
   std::size_t capacity_;
 };

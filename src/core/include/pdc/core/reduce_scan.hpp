@@ -20,34 +20,9 @@
 
 namespace pdc::core {
 
-/// Fold `data` with associative `op` starting from `identity`, splitting
-/// the input into `threads` contiguous blocks.
-template <typename T, typename Op = std::plus<T>>
-[[nodiscard]] T parallel_reduce(std::span<const T> data, T identity,
-                                int threads, Op op = {}) {
-  if (threads < 1) throw std::invalid_argument("threads must be >= 1");
-  if (data.empty()) return identity;
-  if (threads == 1 || data.size() < 2 * static_cast<std::size_t>(threads)) {
-    T acc = identity;
-    for (const T& x : data) acc = op(acc, x);
-    return acc;
-  }
-
-  std::vector<T> partial(static_cast<std::size_t>(threads), identity);
-  Team::run(threads, [&](TeamContext& ctx) {
-    const auto [lo, hi] = ctx.block_range(0, data.size());
-    T acc = identity;
-    for (std::size_t i = lo; i < hi; ++i) acc = op(acc, data[i]);
-    partial[static_cast<std::size_t>(ctx.rank())] = acc;
-  });
-
-  T acc = identity;
-  for (const T& x : partial) acc = op(acc, x);
-  return acc;
-}
-
 /// Map each element through `transform`, then reduce (parallel version of
-/// std::transform_reduce). Used for dot products and norms.
+/// std::transform_reduce), splitting the input into `threads` contiguous
+/// blocks. Used for dot products and norms.
 template <typename T, typename R, typename Transform, typename Op = std::plus<R>>
 [[nodiscard]] R parallel_transform_reduce(std::span<const T> data, R identity,
                                           int threads, Transform transform,
@@ -73,29 +48,50 @@ template <typename T, typename R, typename Transform, typename Op = std::plus<R>
   return acc;
 }
 
-/// Inclusive prefix scan: out[i] = op(in[0], ..., in[i]).
-/// `out` may alias `in`. Three-phase block algorithm.
+/// Fold `data` with associative `op` starting from `identity`, splitting
+/// the input into `threads` contiguous blocks.
 template <typename T, typename Op = std::plus<T>>
-void parallel_inclusive_scan(std::span<const T> in, std::span<T> out,
-                             T identity, int threads, Op op = {}) {
+[[nodiscard]] T parallel_reduce(std::span<const T> data, T identity,
+                                int threads, Op op = {}) {
+  return parallel_transform_reduce<T, T>(data, identity, threads,
+                                         std::identity{}, op);
+}
+
+namespace detail {
+
+/// The three-phase block scan behind both scans. An inclusive scan folds
+/// each element into the running value before writing it, an exclusive
+/// one after.
+template <bool kInclusive, typename T, typename Op>
+void block_scan(std::span<const T> in, std::span<T> out, T identity,
+                int threads, Op op) {
   if (threads < 1) throw std::invalid_argument("threads must be >= 1");
   if (in.size() != out.size())
     throw std::invalid_argument("scan size mismatch");
   const std::size_t n = in.size();
   if (n == 0) return;
 
-  if (threads == 1 || n < 2 * static_cast<std::size_t>(threads)) {
-    T acc = identity;
-    for (std::size_t i = 0; i < n; ++i) {
-      acc = op(acc, in[i]);
-      out[i] = acc;
+  // Scan [lo, hi) onward from `acc`. The inclusive scan reads each element
+  // before it writes that element's output, so it may run in place.
+  const auto scan_block = [&](std::size_t lo, std::size_t hi, T acc) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      if constexpr (kInclusive) {
+        acc = op(acc, in[i]);
+        out[i] = acc;
+      } else {
+        out[i] = acc;
+        acc = op(acc, in[i]);
+      }
     }
+  };
+  if (threads == 1 || n < 2 * static_cast<std::size_t>(threads)) {
+    scan_block(0, n, identity);
     return;
   }
 
   std::vector<T> block_sum(static_cast<std::size_t>(threads), identity);
-  // Phase 1: per-block totals.
   Team::run(threads, [&](TeamContext& ctx) {
+    // Phase 1: per-block totals.
     const auto [lo, hi] = ctx.block_range(0, n);
     T acc = identity;
     for (std::size_t i = lo; i < hi; ++i) acc = op(acc, in[i]);
@@ -111,13 +107,19 @@ void parallel_inclusive_scan(std::span<const T> in, std::span<T> out,
       }
     }
     ctx.barrier();
-    // Phase 3: local inclusive rescan with block offset.
-    T acc2 = block_sum[static_cast<std::size_t>(ctx.rank())];
-    for (std::size_t i = lo; i < hi; ++i) {
-      acc2 = op(acc2, in[i]);
-      out[i] = acc2;
-    }
+    // Phase 3: local rescan with block offset.
+    scan_block(lo, hi, block_sum[static_cast<std::size_t>(ctx.rank())]);
   });
+}
+
+}  // namespace detail
+
+/// Inclusive prefix scan: out[i] = op(in[0], ..., in[i]).
+/// `out` may alias `in`. Three-phase block algorithm.
+template <typename T, typename Op = std::plus<T>>
+void parallel_inclusive_scan(std::span<const T> in, std::span<T> out,
+                             T identity, int threads, Op op = {}) {
+  detail::block_scan<true>(in, out, identity, threads, op);
 }
 
 /// Exclusive prefix scan: out[i] = op(in[0], ..., in[i-1]); out[0] =
@@ -125,44 +127,9 @@ void parallel_inclusive_scan(std::span<const T> in, std::span<T> out,
 template <typename T, typename Op = std::plus<T>>
 void parallel_exclusive_scan(std::span<const T> in, std::span<T> out,
                              T identity, int threads, Op op = {}) {
-  if (in.size() != out.size())
-    throw std::invalid_argument("scan size mismatch");
   if (!in.empty() && in.data() == out.data())
     throw std::invalid_argument("exclusive scan cannot run in place");
-  const std::size_t n = in.size();
-  if (n == 0) return;
-
-  if (threads == 1 || n < 2 * static_cast<std::size_t>(threads)) {
-    T acc = identity;
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = acc;
-      acc = op(acc, in[i]);
-    }
-    return;
-  }
-
-  std::vector<T> block_sum(static_cast<std::size_t>(threads), identity);
-  Team::run(threads, [&](TeamContext& ctx) {
-    const auto [lo, hi] = ctx.block_range(0, n);
-    T acc = identity;
-    for (std::size_t i = lo; i < hi; ++i) acc = op(acc, in[i]);
-    block_sum[static_cast<std::size_t>(ctx.rank())] = acc;
-    ctx.barrier();
-    if (ctx.rank() == 0) {
-      T run = identity;
-      for (auto& b : block_sum) {
-        const T next = op(run, b);
-        b = run;
-        run = next;
-      }
-    }
-    ctx.barrier();
-    T acc2 = block_sum[static_cast<std::size_t>(ctx.rank())];
-    for (std::size_t i = lo; i < hi; ++i) {
-      out[i] = acc2;
-      acc2 = op(acc2, in[i]);
-    }
-  });
+  detail::block_scan<false>(in, out, identity, threads, op);
 }
 
 }  // namespace pdc::core

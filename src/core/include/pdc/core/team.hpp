@@ -10,6 +10,7 @@
 // keeps the original fork-one-jthread-per-rank path selectable for the
 // CS31 teaching comparison (and bench_team_launch measures the gap).
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <utility>
@@ -17,6 +18,19 @@
 #include "pdc/sync/barrier.hpp"
 
 namespace pdc::core {
+
+/// Split [begin, end) into `parts` near-equal contiguous blocks and return
+/// block `part` (0 <= part < parts): the first (end - begin) % parts
+/// blocks hold one element more than the rest. The one near-equal split
+/// in pdc: team ranks, stealing seeds and strip ranks all cut through it.
+[[nodiscard]] constexpr std::pair<std::size_t, std::size_t> block_range(
+    std::size_t begin, std::size_t end, std::size_t part, std::size_t parts) {
+  const std::size_t n = end > begin ? end - begin : 0;
+  const std::size_t base = n / parts;
+  const std::size_t extra = n % parts;
+  const std::size_t lo = begin + part * base + std::min(part, extra);
+  return {lo, lo + base + (part < extra ? 1 : 0)};
+}
 
 /// Per-thread view handed to the SPMD body.
 class TeamContext {
@@ -32,7 +46,10 @@ class TeamContext {
   /// Split [begin, end) into `size()` near-equal contiguous blocks and
   /// return this rank's [block_begin, block_end).
   [[nodiscard]] std::pair<std::size_t, std::size_t> block_range(
-      std::size_t begin, std::size_t end) const;
+      std::size_t begin, std::size_t end) const {
+    return core::block_range(begin, end, static_cast<std::size_t>(rank_),
+                             static_cast<std::size_t>(size_));
+  }
 
  private:
   friend class Team;

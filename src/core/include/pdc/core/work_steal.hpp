@@ -3,7 +3,8 @@
 // Schedule::kStealing (parallel_for.hpp) and the stencil engine's tile
 // stealing on multi-thread plans. One owner pushes and pops at the bottom
 // (LIFO, cache-warm); any number of thieves steal from the top (FIFO,
-// the oldest — typically largest — work first).
+// the oldest — typically largest — work first). Both users drain their
+// per-worker deques through the one loop here, detail::steal_drain.
 //
 // The implementation follows Chase & Lev (SPAA '05) as reformulated for
 // weak memory by Lê et al. (PPoPP '13), with two deliberate deviations
@@ -36,8 +37,11 @@
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <thread>
 #include <type_traits>
 #include <vector>
+
+#include "pdc/obs/obs.hpp"
 
 namespace pdc::core {
 
@@ -171,5 +175,51 @@ class WorkStealingDeque {
   std::vector<std::unique_ptr<Buffer>> buffers_;  // owner-only; keeps
                                                   // retired rings alive
 };
+
+namespace detail {
+
+/// Worker `me`'s drain over `deques` (one per worker): pop from its own
+/// deque; when that is dry, sweep the others from me + 1 on and steal the
+/// oldest item; after losing a race on live work, sweep again at once;
+/// return once a sweep finds every deque empty while `done()`, read before
+/// the pop, held. A producer still publishing items keeps `done()` false,
+/// and the workers then yield between empty sweeps. `run(item)` may push
+/// onto deques[me]. Every steal attempt adds 1 to `attempts`, every stolen
+/// item adds 1 to `steals` and runs inside a `steal_span` trace span.
+template <typename T, typename Run, typename Done>
+void steal_drain(std::vector<WorkStealingDeque<T>>& deques, std::size_t me,
+                 Run&& run, Done&& done, obs::Counter& attempts,
+                 obs::Counter& steals, const char* steal_span) {
+  const std::size_t n = deques.size();
+  auto& mine = deques[me];
+  while (true) {
+    // Read before the pop: if it held, the sweep below cannot miss an
+    // item published before it.
+    const bool no_more = done();
+    if (auto item = mine.pop()) {
+      run(*item);
+      continue;
+    }
+    bool got = false;
+    bool contended = false;
+    for (std::size_t off = 1; off < n && !got; ++off) {
+      auto& victim = deques[(me + off) % n];
+      attempts.add(1);
+      if (auto item = victim.steal()) {
+        steals.add(1);
+        obs::TraceScope span(steal_span);
+        run(*item);
+        got = true;
+      } else if (!victim.empty()) {
+        contended = true;  // lost a race on live work: retry
+      }
+    }
+    if (got || contended) continue;
+    if (no_more) return;  // every deque observed empty, nothing to come
+    std::this_thread::yield();
+  }
+}
+
+}  // namespace detail
 
 }  // namespace pdc::core

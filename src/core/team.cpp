@@ -12,19 +12,6 @@ namespace pdc::core {
 
 void TeamContext::barrier() { barrier_->arrive_and_wait(); }
 
-std::pair<std::size_t, std::size_t> TeamContext::block_range(
-    std::size_t begin, std::size_t end) const {
-  const std::size_t n = end > begin ? end - begin : 0;
-  const auto p = static_cast<std::size_t>(size_);
-  const auto r = static_cast<std::size_t>(rank_);
-  const std::size_t base = n / p;
-  const std::size_t extra = n % p;
-  // First `extra` ranks get one extra element.
-  const std::size_t lo = begin + r * base + std::min(r, extra);
-  const std::size_t hi = lo + base + (r < extra ? 1 : 0);
-  return {lo, hi};
-}
-
 void Team::run(int threads, const std::function<void(TeamContext&)>& body) {
   run(threads, TeamOptions{}, body);
 }

@@ -3,11 +3,9 @@
 // the runtime (core), comms (mp), I/O (extmem) and workload (mapreduce,
 // life, os) layers. See metrics.hpp and trace.hpp.
 //
-// Compile-time kill switch: building with -DPDC_OBS_DISABLE turns
-// PDC_TRACE_SCOPE into nothing at all (the library itself still builds;
-// only the macro call sites vanish). The default build keeps spans
-// compiled in behind the runtime flag, which is what the "instrumentation
-// is pay-for-what-you-use" acceptance bench measures.
+// Spans are always compiled in, behind the runtime tracing flag: a
+// disabled span costs one relaxed atomic load, which is what the
+// "instrumentation is pay-for-what-you-use" acceptance bench measures.
 
 #include "pdc/obs/metrics.hpp"
 #include "pdc/obs/trace.hpp"
@@ -16,10 +14,6 @@
 #define PDC_OBS_CONCAT2(a, b) a##b
 #define PDC_OBS_CONCAT(a, b) PDC_OBS_CONCAT2(a, b)
 
-#if defined(PDC_OBS_DISABLE)
-#define PDC_TRACE_SCOPE(name) ((void)0)
-#else
 /// Trace the enclosing scope as a span named `name` (a string literal).
 #define PDC_TRACE_SCOPE(name) \
   ::pdc::obs::TraceScope PDC_OBS_CONCAT(pdc_obs_scope_, __COUNTER__)(name)
-#endif

@@ -61,8 +61,7 @@ struct ThreadTrace {
 };
 
 /// RAII span: records [construction, destruction) on the calling thread's
-/// buffer. Prefer the PDC_TRACE_SCOPE macro, which compiles away entirely
-/// under -DPDC_OBS_DISABLE.
+/// buffer. Prefer the PDC_TRACE_SCOPE macro, which names the scope for you.
 class TraceScope {
  public:
   explicit TraceScope(const char* name) noexcept {

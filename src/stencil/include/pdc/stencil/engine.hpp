@@ -54,7 +54,6 @@
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "pdc/core/team.hpp"
@@ -222,7 +221,6 @@ class HaloExchange {
       sbuf_up_ = std::move(msg.data);
     }
     w_.finish_halo(cur);
-    first_ = false;
   }
 
   /// Neighbor changed-flags staged by the last recv (null = no neighbor).
@@ -237,13 +235,8 @@ class HaloExchange {
   void fill(const typename W::Field& cur, const ActivityMap& act,
             std::vector<std::int64_t>& buf, bool top) {
     buf.resize(fw_ + hw_);
-    if (first_) {
-      // Step 0 sweeps everything; tell the neighbor so.
-      std::fill_n(buf.data(), fw_, ~std::int64_t{0});
-    } else {
-      act.copy_edge_changed(top, edge_flags_.data());
-      encode_flags(edge_flags_.data(), tm_.tiles_x(), buf.data());
-    }
+    act.copy_edge_changed(top, edge_flags_.data());
+    encode_flags(edge_flags_.data(), tm_.tiles_x(), buf.data());
     w_.pack_row(cur, top, buf.data() + fw_);
   }
 
@@ -254,7 +247,6 @@ class HaloExchange {
   std::size_t hw_, fw_;
   std::vector<std::uint8_t> edge_flags_, above_flags_, below_flags_;
   std::vector<std::int64_t> sbuf_up_, sbuf_down_;
-  bool first_ = true;
   bool have_above_ = false, have_below_ = false;
 };
 
@@ -324,13 +316,10 @@ RunResult run_team(W& w, typename W::Field& cur, typename W::Field& nxt,
   // barrier A): seed worker r's deque with its near-equal contiguous
   // share of the active list. Stealing rebalances from there.
   const auto seed_deques = [&] {
-    const std::size_t n = active_list.size();
-    const std::size_t base = n / nthreads, extra = n % nthreads;
-    std::size_t lo = 0;
     for (std::size_t r = 0; r < nthreads; ++r) {
-      const std::size_t hi = lo + base + (r < extra ? 1 : 0);
+      const auto [lo, hi] =
+          core::block_range(0, active_list.size(), r, nthreads);
       for (std::size_t i = lo; i < hi; ++i) deques[r].push(active_list[i]);
-      lo = hi;
     }
   };
   // Serial per-step prep (pre-loop on the home thread, then on the team's
@@ -409,34 +398,11 @@ RunResult run_team(W& w, typename W::Field& cur, typename W::Field& nxt,
           for (const std::uint32_t t : active_list) exec_tile(t);
           for (const std::uint32_t t : boundary_list) exec_tile(t);
         } else {
-          const auto me = static_cast<std::size_t>(tc.rank());
-          auto& mine = deques[me];
-          while (true) {
-            // Load before sweeping: if the halo was already done, the
-            // sweep below cannot miss tiles published before it.
-            const bool no_more = halo_done.load(std::memory_order_acquire);
-            if (auto t = mine.pop()) {
-              exec_tile(*t);
-              continue;
-            }
-            bool got = false;
-            bool contended = false;
-            for (std::size_t off = 1; off < nthreads && !got; ++off) {
-              auto& victim = deques[(me + off) % nthreads];
-              c_attempts.add(1);
-              if (auto t = victim.steal()) {
-                c_steals.add(1);
-                PDC_TRACE_SCOPE("stencil.steal");
-                exec_tile(*t);
-                got = true;
-              } else if (!victim.empty()) {
-                contended = true;  // lost a race on a live tile: retry
-              }
-            }
-            if (got || contended) continue;
-            if (no_more) break;  // every deque observed empty, halo in
-            std::this_thread::yield();  // halo still in flight
-          }
+          // Done once the halo is in and the boundary tiles published.
+          core::detail::steal_drain(
+              deques, static_cast<std::size_t>(tc.rank()), exec_tile,
+              [&] { return halo_done.load(std::memory_order_acquire); },
+              c_attempts, c_steals, "stencil.steal");
         }
         rank_delta[static_cast<std::size_t>(tc.rank())] = local;
       }
@@ -539,10 +505,7 @@ RunResult run_world(W w, std::size_t rows, bool wrap, const ExecPlan& plan,
   comm.run([&](mp::RankContext& ctx) {
     const int r = ctx.rank();
     const auto ur = static_cast<std::size_t>(r);
-    const std::size_t tlo =
-        ur * (n_tiles / ranks) + std::min(ur, n_tiles % ranks);
-    const std::size_t thi =
-        tlo + n_tiles / ranks + (ur < n_tiles % ranks ? 1 : 0);
+    const auto [tlo, thi] = core::block_range(0, n_tiles, ur, ranks);
     const std::size_t r0 = tlo * opt.tile_rows;
     typename W::Field cur = load(r0, std::min(rows, thi * opt.tile_rows));
     const MpLinks links{r > 0 ? r - 1 : (wrap ? plan.ranks - 1 : -1),

@@ -249,26 +249,46 @@ TEST(TeamPool, PropagatesExceptionThroughJob) {
 }
 
 TEST(Team, BlockRangePartitionIsExactCover) {
-  // Property: block ranges across ranks tile [begin, end) exactly.
+  // Property: block ranges across ranks tile [begin, end) exactly, in
+  // near-equal parts (sizes differ by at most one, larger parts first),
+  // and a team rank's block is the free core::block_range's part. The
+  // range ending at SIZE_MAX checks that no step of the split overflows.
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
   for (int p = 1; p <= 7; ++p) {
+    const auto parts = static_cast<std::size_t>(p);
     for (std::size_t n : {0u, 1u, 5u, 64u, 100u, 101u}) {
-      std::vector<std::pair<std::size_t, std::size_t>> ranges(
-          static_cast<std::size_t>(p));
-      pc::Team::run(p, [&](pc::TeamContext& ctx) {
-        ranges[static_cast<std::size_t>(ctx.rank())] =
-            ctx.block_range(10, 10 + n);
-      });
-      std::size_t expected_lo = 10;
-      std::size_t total = 0;
-      for (int r = 0; r < p; ++r) {
-        const auto [lo, hi] = ranges[static_cast<std::size_t>(r)];
-        EXPECT_EQ(lo, expected_lo) << "p=" << p << " n=" << n << " r=" << r;
-        EXPECT_GE(hi, lo);
-        total += hi - lo;
-        expected_lo = hi;
+      for (const std::size_t begin : {std::size_t{10}, kMax - n}) {
+        const std::size_t end = begin + n;
+        std::vector<std::pair<std::size_t, std::size_t>> ranges(parts);
+        pc::Team::run(p, [&](pc::TeamContext& ctx) {
+          ranges[static_cast<std::size_t>(ctx.rank())] =
+              ctx.block_range(begin, end);
+        });
+        const auto size_of = [&](std::size_t r) {
+          return ranges[r].second - ranges[r].first;
+        };
+        std::size_t expected_lo = begin;
+        std::size_t total = 0;
+        for (std::size_t r = 0; r < parts; ++r) {
+          const auto [lo, hi] = ranges[r];
+          SCOPED_TRACE(testing::Message() << "p=" << p << " n=" << n
+                                          << " begin=" << begin << " r=" << r);
+          EXPECT_EQ(ranges[r], pc::block_range(begin, end, r, parts));
+          EXPECT_EQ(lo, expected_lo);
+          EXPECT_GE(hi, lo);
+          // Near-equal, larger parts first: no part outgrows the one
+          // before it, and none falls more than one short of the first.
+          const std::size_t size = hi - lo;
+          EXPECT_LE(size_of(0) - size, 1u);
+          if (r > 0) {
+            EXPECT_LE(size, size_of(r - 1));
+          }
+          total += size;
+          expected_lo = hi;
+        }
+        EXPECT_EQ(total, n);
+        EXPECT_EQ(expected_lo, end);
       }
-      EXPECT_EQ(total, n);
-      EXPECT_EQ(expected_lo, 10 + n);
     }
   }
 }
@@ -619,6 +639,25 @@ TEST(Scan, SizeMismatchThrows) {
                std::invalid_argument);
 }
 
+TEST(Scan, RejectsNonPositiveThreadCounts) {
+  // Every reduce and scan entry point checks its team size first, before
+  // any sequential fallback could run.
+  const std::vector<long> in = {1, 2, 3, 4, 5, 6, 7, 8};
+  std::vector<long> out(in.size());
+  for (int threads : {0, -1}) {
+    SCOPED_TRACE(threads);
+    EXPECT_THROW((void)pc::parallel_reduce<long>(in, 0L, threads),
+                 std::invalid_argument);
+    EXPECT_THROW((void)(pc::parallel_transform_reduce<long, long>(
+                     in, 0L, threads, [](long x) { return x * x; })),
+                 std::invalid_argument);
+    EXPECT_THROW(pc::parallel_inclusive_scan<long>(in, out, 0L, threads),
+                 std::invalid_argument);
+    EXPECT_THROW(pc::parallel_exclusive_scan<long>(in, out, 0L, threads),
+                 std::invalid_argument);
+  }
+}
+
 TEST(Scan, NonCommutativeOpStillCorrect) {
   // String concatenation is associative but not commutative: a scan that
   // reorders operands would corrupt the result.
@@ -875,6 +914,48 @@ TEST(Pipeline, ThrowingMiddleStageDrainsBothNeighbours) {
     EXPECT_STREQ(e.what(), "stage failed on item 3");
   }
   EXPECT_EQ(pipe.run({4, 5}), (std::vector<int>{8, 10}));
+}
+
+// An item whose copy throws on the thread that sets `copy_throws`: the
+// caller's, which feeds the pipeline, so only the feed fails.
+thread_local bool copy_throws = false;
+struct FeedBomb {
+  int v = 0;
+  explicit FeedBomb(int x) : v(x) {}
+  FeedBomb(const FeedBomb& o) : v(o.v) {
+    if (copy_throws && v == 3) throw std::runtime_error("feed failed on 3");
+  }
+  FeedBomb(FeedBomb&&) = default;
+};
+
+TEST(Pipeline, ThrowingFeedWindsDownAndRethrows) {
+  // The feeder closes the source buffer however it leaves, so the stages
+  // and the collector finish instead of waiting for more items.
+  pc::Pipeline<FeedBomb> pipe({[](FeedBomb b) { return b; }}, 2);
+  std::vector<FeedBomb> in;
+  for (int i = 0; i < 10; ++i) in.emplace_back(i);
+  copy_throws = true;
+  EXPECT_THROW((void)pipe.run(in), std::runtime_error);
+  copy_throws = false;
+  EXPECT_EQ(pipe.run(in).size(), in.size());
+}
+
+TEST(Pipeline, RunsAsOnePooledRegion) {
+  // A run is one Team region on the pool: once the first run has started
+  // the workers it needs, later runs reuse them.
+  pc::Pipeline<int> pipe(
+      {[](int x) { return x + 1; }, [](int x) { return x * 2; }}, 2);
+  pdc::obs::Counter& regions = pdc::obs::counter("core.regions");
+  const std::uint64_t regions_before = regions.value();
+  EXPECT_EQ(pipe.run({1, 2, 3}), (std::vector<int>{4, 6, 8}));
+  EXPECT_EQ(regions.value(), regions_before + 1);
+  const std::size_t workers = pc::TeamPool::instance().workers_started();
+  for (int round = 0; round < 20; ++round) {
+    const std::uint64_t before = regions.value();
+    ASSERT_EQ(pipe.run({round}), (std::vector<int>{2 * (round + 1)}));
+    EXPECT_EQ(regions.value(), before + 1);
+  }
+  EXPECT_EQ(pc::TeamPool::instance().workers_started(), workers);
 }
 
 TEST(Pipeline, RejectsBadConfig) {
