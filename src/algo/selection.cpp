@@ -32,15 +32,13 @@ std::pair<std::size_t, std::size_t> partition3(std::vector<std::int64_t>& v,
   return {lt, eq};
 }
 
-std::int64_t quickselect_impl(std::vector<std::int64_t> v, std::size_t k,
-                              std::uint64_t seed) {
-  std::uint64_t s = seed ? seed : 1;
-  while (true) {
-    if (v.size() == 1) return v[0];
-    s ^= s << 13;
-    s ^= s >> 7;
-    s ^= s << 17;
-    const std::int64_t pivot = v[s % v.size()];
+/// The k-th smallest of `v`: partition around `pivot_of(v)` and keep the
+/// side that holds rank k, until at most `cutoff` values remain to sort.
+template <class PivotRule>
+std::int64_t select_loop(std::vector<std::int64_t> v, std::size_t k,
+                         std::size_t cutoff, PivotRule pivot_of) {
+  while (v.size() > cutoff) {
+    const std::int64_t pivot = pivot_of(v);
     const auto [lt, eq] = partition3(v, pivot);
     if (k < lt) {
       v.resize(lt);
@@ -51,9 +49,11 @@ std::int64_t quickselect_impl(std::vector<std::int64_t> v, std::size_t k,
       k -= lt + eq;
     }
   }
+  std::sort(v.begin(), v.end());
+  return v[k];
 }
 
-std::int64_t mom_impl(std::vector<std::int64_t> v, std::size_t k);
+std::int64_t mom_select(std::vector<std::int64_t> v, std::size_t k);
 
 /// BFPRT pivot: median of the medians of groups of 5.
 std::int64_t mom_pivot(const std::vector<std::int64_t>& v) {
@@ -68,26 +68,11 @@ std::int64_t mom_pivot(const std::vector<std::int64_t>& v) {
   }
   if (medians.size() == 1) return medians[0];
   const std::size_t mid = medians.size() / 2;
-  return mom_impl(std::move(medians), mid);
+  return mom_select(std::move(medians), mid);
 }
 
-std::int64_t mom_impl(std::vector<std::int64_t> v, std::size_t k) {
-  while (true) {
-    if (v.size() <= 5) {
-      std::sort(v.begin(), v.end());
-      return v[k];
-    }
-    const std::int64_t pivot = mom_pivot(v);
-    const auto [lt, eq] = partition3(v, pivot);
-    if (k < lt) {
-      v.resize(lt);
-    } else if (k < lt + eq) {
-      return pivot;
-    } else {
-      v.erase(v.begin(), v.begin() + static_cast<long>(lt + eq));
-      k -= lt + eq;
-    }
-  }
+std::int64_t mom_select(std::vector<std::int64_t> v, std::size_t k) {
+  return select_loop(std::move(v), k, 5, mom_pivot);
 }
 
 }  // namespace
@@ -102,14 +87,21 @@ std::int64_t sort_select(std::span<const std::int64_t> data, std::size_t k) {
 std::int64_t quickselect(std::span<const std::int64_t> data, std::size_t k,
                          std::uint64_t seed) {
   check(data, k);
-  return quickselect_impl(std::vector<std::int64_t>(data.begin(), data.end()),
-                          k, seed);
+  // The pivot is the element an xorshift64 stream points at.
+  std::uint64_t s = seed ? seed : 1;
+  return select_loop(std::vector<std::int64_t>(data.begin(), data.end()), k,
+                     1, [&s](const std::vector<std::int64_t>& v) {
+                       s ^= s << 13;
+                       s ^= s >> 7;
+                       s ^= s << 17;
+                       return v[s % v.size()];
+                     });
 }
 
 std::int64_t median_of_medians(std::span<const std::int64_t> data,
                                std::size_t k) {
   check(data, k);
-  return mom_impl(std::vector<std::int64_t>(data.begin(), data.end()), k);
+  return mom_select(std::vector<std::int64_t>(data.begin(), data.end()), k);
 }
 
 }  // namespace pdc::algo

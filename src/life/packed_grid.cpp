@@ -1,13 +1,12 @@
 #include "pdc/life/packed_grid.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string_view>
 
-#include "pdc/obs/metrics.hpp"
 #include "pdc/stencil/vector_width.hpp"
 
 namespace pdc::life {
@@ -119,97 +118,42 @@ template <std::size_t kBytes>
     step_words<kBytes / 2>(up, mid, down, out, w, nwords);
 }
 
-/// The SWAR kernel at kBytes per vector on `rows` consecutive rows of a
-/// block `nwords` wide, in a padded layout `stride` words per row: `above`
-/// points at the block's first word in the row above the first one
-/// computed, and every row's [-1] and [nwords] neighbors must be readable.
-/// `out` receives the next generation of the first row's span, the rest
-/// `stride` apart; `tail_mask` is AND-ed into each row's last word (pass
-/// ~0 for blocks that do not end a row). A block narrower than one vector
-/// runs whole at a narrower width, so its rows skip the step-down.
-template <std::size_t kBytes>
-[[gnu::always_inline]] inline void step_rows_at(const std::uint64_t* above,
-                                                std::uint64_t* out,
-                                                std::size_t stride,
-                                                std::size_t rows,
-                                                std::size_t nwords,
-                                                std::uint64_t tail_mask) {
-  if constexpr (kBytes > 16) {
-    if (nwords < kBytes / 8)
-      return step_rows_at<kBytes / 2>(above, out, stride, rows, nwords,
-                                      tail_mask);
+/// The SWAR kernel at each vector width.
+struct StepRows {
+  static constexpr std::string_view kGauge = "life.kernel_words_per_vector";
+  static constexpr std::size_t kUnitBytes = sizeof(std::uint64_t);
+
+  /// `rows` consecutive rows of a block `nwords` wide at kBytes per
+  /// vector, in a padded layout `stride` words per row: `above` points at
+  /// the block's first word in the row above the first one computed, and
+  /// every row's [-1] and [nwords] neighbors must be readable. `out`
+  /// receives the next generation of the first row's span, the rest
+  /// `stride` apart; `tail_mask` is AND-ed into each row's last word (pass
+  /// ~0 for blocks that do not end a row). A block narrower than one
+  /// vector runs whole at a narrower width, so its rows skip the
+  /// step-down.
+  template <std::size_t kBytes>
+  [[gnu::always_inline]] static void run(const std::uint64_t* above,
+                                         std::uint64_t* out,
+                                         std::size_t stride, std::size_t rows,
+                                         std::size_t nwords,
+                                         std::uint64_t tail_mask) {
+    if constexpr (kBytes > 16) {
+      if (nwords < kBytes / 8)
+        return run<kBytes / 2>(above, out, stride, rows, nwords, tail_mask);
+    }
+    for (std::size_t r = 0; r < rows; ++r) {
+      const std::uint64_t* up = above + r * stride;
+      std::uint64_t* row = out + r * stride;
+      step_words<kBytes>(up, up + stride, up + 2 * stride, row, 0, nwords);
+      row[nwords - 1] &= tail_mask;
+    }
   }
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::uint64_t* up = above + r * stride;
-    std::uint64_t* row = out + r * stride;
-    step_words<kBytes>(up, up + stride, up + 2 * stride, row, 0, nwords);
-    row[nwords - 1] &= tail_mask;
-  }
-}
+};
 
-using StepRowsFn = void (*)(const std::uint64_t*, std::uint64_t*,
-                            std::size_t, std::size_t, std::size_t,
-                            std::uint64_t);
-
-void step_rows_16(const std::uint64_t* above, std::uint64_t* out,
-                  std::size_t stride, std::size_t rows, std::size_t nwords,
-                  std::uint64_t tail_mask) {
-  step_rows_at<16>(above, out, stride, rows, nwords, tail_mask);
-}
-
-#if defined(__x86_64__)
-[[gnu::target("avx2")]] void step_rows_32(const std::uint64_t* above,
-                                          std::uint64_t* out,
-                                          std::size_t stride, std::size_t rows,
-                                          std::size_t nwords,
-                                          std::uint64_t tail_mask) {
-  step_rows_at<32>(above, out, stride, rows, nwords, tail_mask);
-}
-
-[[gnu::target("avx512f")]] void step_rows_64(const std::uint64_t* above,
-                                             std::uint64_t* out,
-                                             std::size_t stride,
-                                             std::size_t rows,
-                                             std::size_t nwords,
-                                             std::uint64_t tail_mask) {
-  step_rows_at<64>(above, out, stride, rows, nwords, tail_mask);
-}
-#endif
-
-/// The kernel compiled for `vector_bytes`. Throws std::invalid_argument
-/// unless this CPU runs that width.
-StepRowsFn step_rows_fn(std::size_t vector_bytes) {
-  const auto widths = stencil::vector_widths();
-  if (std::find(widths.begin(), widths.end(), vector_bytes) == widths.end())
-    throw std::invalid_argument("life kernel: vector width not run here");
-#if defined(__x86_64__)
-  if (vector_bytes == 64) return step_rows_64;
-  if (vector_bytes == 32) return step_rows_32;
-#endif
-  return step_rows_16;
-}
-
-void resolve_step_rows(const std::uint64_t* above, std::uint64_t* out,
-                       std::size_t stride, std::size_t rows,
-                       std::size_t nwords, std::uint64_t tail_mask);
-
-/// The kernel step_tile_into calls: resolve_step_rows until its first call
-/// swaps in the widest width's kernel (no guard check per call, unlike a
-/// function-local static).
-std::atomic<StepRowsFn> picked_step_rows{resolve_step_rows};
-
-/// Picks the widest width this CPU runs, names it in the obs gauge, and
-/// steps the block with it. Threads racing here all store the same kernel.
-void resolve_step_rows(const std::uint64_t* above, std::uint64_t* out,
-                       std::size_t stride, std::size_t rows,
-                       std::size_t nwords, std::uint64_t tail_mask) {
-  const std::size_t bytes = stencil::vector_widths().back();
-  obs::gauge("life.kernel_words_per_vector")
-      .set(static_cast<std::int64_t>(bytes / sizeof(std::uint64_t)));
-  const StepRowsFn step = step_rows_fn(bytes);
-  picked_step_rows.store(step, std::memory_order_relaxed);
-  step(above, out, stride, rows, nwords, tail_mask);
-}
+using StepRowsDispatch = stencil::VectorDispatch<
+    StepRows, void(const std::uint64_t*, std::uint64_t*, std::size_t,
+                   std::size_t, std::size_t, std::uint64_t)>;
 
 /// The 8-byte loads and stores below read cell i from byte i.
 std::uint64_t to_little_endian(std::uint64_t v) {
@@ -416,7 +360,6 @@ bool PackedGrid::step_tile_into(PackedGrid& dst, std::size_t row_begin,
                                 std::size_t word_end) const {
   if (dst.rows_ != rows_ || dst.cols_ != cols_)
     throw std::invalid_argument("destination grid shape mismatch");
-  const StepRowsFn step_rows = picked_step_rows.load(std::memory_order_relaxed);
   bool changed = false;
   for (std::size_t w0 = word_begin; w0 < word_end; w0 += kTileWords) {
     const std::size_t w1 = std::min(word_end, w0 + kTileWords);
@@ -424,8 +367,9 @@ bool PackedGrid::step_tile_into(PackedGrid& dst, std::size_t row_begin,
     // of both the kernel output and the changed comparison.
     const std::uint64_t mask = w1 == words_ ? tail_mask_ : ~std::uint64_t{0};
     const std::size_t n = w1 - w0;
-    step_rows(padded_row(row_begin) + w0, dst.padded_row(row_begin + 1) + w0,
-              stride(), row_end - row_begin, n, mask);
+    StepRowsDispatch::widest(padded_row(row_begin) + w0,
+                             dst.padded_row(row_begin + 1) + w0, stride(),
+                             row_end - row_begin, n, mask);
     for (std::size_t r = row_begin; r < row_end && !changed; ++r) {
       const std::uint64_t* src = padded_row(r + 1) + w0;
       const std::uint64_t* out = dst.padded_row(r + 1) + w0;
@@ -441,7 +385,8 @@ void detail::step_rows(std::size_t vector_bytes, const std::uint64_t* above,
                        std::uint64_t* out, std::size_t stride,
                        std::size_t rows, std::size_t nwords,
                        std::uint64_t tail_mask) {
-  step_rows_fn(vector_bytes)(above, out, stride, rows, nwords, tail_mask);
+  StepRowsDispatch::at(vector_bytes)(above, out, stride, rows, nwords,
+                                     tail_mask);
 }
 
 bool PackedGrid::operator==(const PackedGrid& other) const {

@@ -13,11 +13,10 @@ namespace pdc::mp {
 namespace {
 
 // Wire formats (all int64):
-//   request batch: [seq, n_puts, k1, v1, ..., n_gets, g1, ...]
+//   request batch: detail::encode_batch's, with seq per (client -> server)
+//                  flow, so the server's shard applies each exactly once;
 //   reply batch:   [seq, found1, value1, ...]   (one pair per unique get,
 //                                                in request order)
-// seq is per (client -> server) flow, starting at 1, so a server can
-// assert exactly-once, in-order application per source.
 
 struct ClientMetrics {
   obs::Counter& puts = obs::counter("dht.client.puts");
@@ -56,7 +55,7 @@ DhtClient::DhtClient(RankContext& ctx, Options opts)
       opts_(opts),
       pool_(std::make_unique<detail::OpPool>()),
       dest_(static_cast<std::size_t>(ctx.size())),
-      peer_seq_(static_cast<std::size_t>(ctx.size()), 0) {
+      shard_(ctx.size()) {
   if (opts_.window < 1) throw std::invalid_argument("dht: window must be >= 1");
   if (opts_.max_batch < 1)
     throw std::invalid_argument("dht: max_batch must be >= 1");
@@ -113,11 +112,10 @@ DhtFuture DhtClient::submit(bool is_get, std::int64_t key,
   if (d == ctx_->rank()) {
     pending_.local += 1;
     if (is_get) {
-      const auto it = shard_.find(key);
-      complete(*op, it != shard_.end(), it != shard_.end() ? it->second : 0,
-               op->submitted);
+      const auto [found, v] = shard_.get(key);
+      complete(*op, found, v, op->submitted);
     } else {
-      shard_[key] = value;
+      shard_.put(key, value);
       complete(*op, true, value, op->submitted);
     }
     return DhtFuture(this, std::move(op));
@@ -194,16 +192,8 @@ void DhtClient::send_batch(int dest) {
   batch.puts = std::move(q.open_puts);
   batch.gets = std::move(q.open_gets);
 
-  std::vector<std::int64_t> msg;
-  msg.reserve(3 + 2 * q.put_kv.size() + q.get_keys.size());
-  msg.push_back(batch.seq);
-  msg.push_back(static_cast<std::int64_t>(q.put_kv.size()));
-  for (const auto& [k, v] : q.put_kv) {
-    msg.push_back(k);
-    msg.push_back(v);
-  }
-  msg.push_back(static_cast<std::int64_t>(q.get_keys.size()));
-  for (const auto k : q.get_keys) msg.push_back(k);
+  std::vector<std::int64_t> msg =
+      detail::encode_batch(batch.seq, q.put_kv, q.get_keys);
 
   m.batches.add();
   m.batch_ops.record(static_cast<std::uint64_t>(q.open_ops));
@@ -243,35 +233,12 @@ bool DhtClient::serve_once() {
 void DhtClient::handle_request(int source, const Message& msg) {
   PDC_TRACE_SCOPE("dht.serve_batch");
   auto& m = ClientMetrics::instance();
-  const auto us = static_cast<std::size_t>(source);
-  std::size_t i = 0;
-  const auto seq = msg.data.at(i++);
-  if (seq != peer_seq_[us] + 1)
-    throw std::logic_error(
-        "dht: batch desync from rank " + std::to_string(source) +
-        " (expected " + std::to_string(peer_seq_[us] + 1) + ", got " +
-        std::to_string(seq) + ") — a batch was replayed or lost");
-  peer_seq_[us] = seq;
-
-  const auto n_puts = static_cast<std::size_t>(msg.data.at(i++));
-  for (std::size_t k = 0; k < n_puts; ++k) {
-    const auto key = msg.data.at(i++);
-    const auto value = msg.data.at(i++);
-    shard_[key] = value;
-  }
-  const auto n_gets = static_cast<std::size_t>(msg.data.at(i++));
-  std::vector<std::int64_t> reply;
-  reply.reserve(1 + 2 * n_gets);
-  reply.push_back(seq);
-  for (std::size_t k = 0; k < n_gets; ++k) {
-    const auto key = msg.data.at(i++);
-    const auto it = shard_.find(key);
-    reply.push_back(it != shard_.end() ? 1 : 0);
-    reply.push_back(it != shard_.end() ? it->second : 0);
-  }
+  const std::size_t gets_at = shard_.apply(source, msg.data);
+  std::vector<std::int64_t> reply{msg.data[0]};
+  shard_.answer(msg.data, gets_at, reply);
   m.served_batches.add();
-  m.served_puts.add(n_puts);
-  m.served_gets.add(n_gets);
+  m.served_puts.add(static_cast<std::uint64_t>(msg.data[1]));
+  m.served_gets.add(static_cast<std::uint64_t>(msg.data[gets_at]));
   tagged_send(source, kDhtRepTag, std::move(reply));
 }
 

@@ -729,41 +729,11 @@ int RankContext::next_collective_tag() {
 
 void RankContext::barrier() {
   PDC_TRACE_SCOPE("mp.barrier");
-  // Tree reduce of a token, then tree broadcast of the release.
-  const int up_tag = next_collective_tag();
-  const int down_tag = next_collective_tag();
-  const int p = size();
-  if (p == 1) return;
-
-  // Reduce phase toward rank 0 (binomial).
-  int mask = 1;
-  while (mask < p) {
-    if ((rank_ & mask) == 0) {
-      const int partner = rank_ | mask;
-      if (partner < p) (void)ch_take(partner, up_tag);
-    } else {
-      ch_send(rank_ & ~mask, up_tag, {});
-      break;
-    }
-    mask <<= 1;
-  }
-  // Broadcast release from rank 0.
-  mask = 1;
-  while (mask < p) {
-    if (rank_ & mask) {
-      (void)ch_take(rank_ - mask, down_tag);
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if (rank_ + mask < p && (rank_ & (mask - 1)) == 0 &&
-        (rank_ & mask) == 0) {
-      ch_send(rank_ + mask, down_tag, {});
-    }
-    mask >>= 1;
-  }
+  // Every rank reports up the reduce tree with an empty token, then rank
+  // 0 releases them down the broadcast tree.
+  std::vector<std::int64_t> token;
+  (void)reduce_tree(0, next_collective_tag(), token, ReduceOp::kSum);
+  (void)broadcast(0, {});
 }
 
 std::vector<std::int64_t> RankContext::broadcast(int root,
@@ -821,47 +791,39 @@ std::int64_t RankContext::reduce(int root, std::int64_t value, ReduceOp op,
   if (p == 1) return value;
 
   if (algo == CollectiveAlgo::kFlat) {
-    if (rank_ == root) {
-      std::int64_t acc = value;
-      if (reliable_) {
-        // Per-source receives so a dead contributor is detected instead
-        // of waiting forever on an any-source match that never comes.
-        for (int r = 0; r < p; ++r) {
-          if (r == root) continue;
-          acc = apply(op, acc, ch_take(r, tag).data.at(0));
-        }
-      } else {
-        for (int i = 0; i < p - 1; ++i) {
-          const Message m = ch_take(kAnySource, tag);
-          acc = apply(op, acc, m.data.at(0));
-        }
-      }
-      return acc;
-    }
-    ch_send(root, tag, {value});
-    return identity(op);
-  }
-
-  // Binomial tree toward root.
-  const int relative = (rank_ - root + p) % p;
-  std::int64_t acc = value;
-  int mask = 1;
-  while (mask < p) {
-    if ((relative & mask) == 0) {
-      const int partner_rel = relative | mask;
-      if (partner_rel < p) {
-        const int src = (partner_rel + root) % p;
-        const Message m = ch_take(src, tag);
-        acc = apply(op, acc, m.data.at(0));
-      }
-    } else {
-      const int dst = ((relative & ~mask) + root) % p;
-      ch_send(dst, tag, {acc});
+    if (rank_ != root) {
+      ch_send(root, tag, {value});
       return identity(op);
     }
-    mask <<= 1;
+    // Per source, in rank order, on either channel: a dead contributor is
+    // detected, where an any-source wait stays open while any peer runs.
+    std::int64_t acc = value;
+    for (int r = 0; r < p; ++r)
+      if (r != root) acc = apply(op, acc, ch_take(r, tag).data.at(0));
+    return acc;
   }
-  return acc;  // root
+  std::vector<std::int64_t> acc{value};
+  return reduce_tree(root, tag, acc, op) ? acc[0] : identity(op);
+}
+
+bool RankContext::reduce_tree(int root, int tag,
+                              std::vector<std::int64_t>& payload,
+                              ReduceOp op) {
+  const int p = size();
+  const int relative = (rank_ - root + p) % p;
+  for (int mask = 1; mask < p; mask <<= 1) {
+    if ((relative & mask) != 0) {
+      ch_send(((relative & ~mask) + root) % p, tag, std::move(payload));
+      return false;
+    }
+    const int partner_rel = relative | mask;
+    if (partner_rel < p) {
+      const Message m = ch_take((partner_rel + root) % p, tag);
+      for (std::size_t i = 0; i < payload.size(); ++i)
+        payload[i] = apply(op, payload[i], m.data.at(i));
+    }
+  }
+  return true;
 }
 
 std::int64_t RankContext::allreduce(std::int64_t value, ReduceOp op) {

@@ -5,6 +5,64 @@
 
 namespace pdc::mp {
 
+std::vector<std::int64_t> detail::encode_batch(
+    std::int64_t seq,
+    std::span<const std::pair<std::int64_t, std::int64_t>> puts,
+    std::span<const std::int64_t> gets) {
+  std::vector<std::int64_t> msg;
+  msg.reserve(3 + 2 * puts.size() + gets.size());
+  msg.push_back(seq);
+  msg.push_back(static_cast<std::int64_t>(puts.size()));
+  for (const auto& [k, v] : puts) {
+    msg.push_back(k);
+    msg.push_back(v);
+  }
+  msg.push_back(static_cast<std::int64_t>(gets.size()));
+  msg.insert(msg.end(), gets.begin(), gets.end());
+  return msg;
+}
+
+std::size_t detail::Shard::apply(int source,
+                                 const std::vector<std::int64_t>& batch) {
+  std::int64_t& floor = floor_.at(static_cast<std::size_t>(source));
+  const std::int64_t seq = batch.at(0);
+  if (seq != floor + 1)
+    throw std::logic_error(
+        "dht: batch desync from rank " + std::to_string(source) +
+        " (expected " + std::to_string(floor + 1) + ", got " +
+        std::to_string(seq) + ") — a batch was replayed or lost");
+  floor = seq;
+  const auto n_puts = static_cast<std::size_t>(batch.at(1));
+  std::size_t i = 2;
+  for (std::size_t k = 0; k < n_puts; ++k, i += 2) {
+    const std::int64_t key = batch.at(i);
+    map_[key] = batch.at(i + 1);
+  }
+  (void)batch.at(i);  // the get count
+  return i;
+}
+
+void detail::Shard::answer(const std::vector<std::int64_t>& batch,
+                           std::size_t gets_at,
+                           std::vector<std::int64_t>& reply) const {
+  const auto n_gets = static_cast<std::size_t>(batch.at(gets_at));
+  // The count comes off the wire: bound it before sizing the reply.
+  if (n_gets > batch.size() - gets_at - 1)
+    throw std::out_of_range("dht: request batch cut short");
+  reply.reserve(reply.size() + 2 * n_gets);
+  for (std::size_t k = 1; k <= n_gets; ++k) {
+    const auto [found, value] = get(batch.at(gets_at + k));
+    reply.push_back(found ? 1 : 0);
+    reply.push_back(value);
+  }
+}
+
+std::pair<bool, std::int64_t> detail::Shard::get(std::int64_t key) const {
+  const auto it = map_.find(key);
+  if (it == map_.end()) return {false, 0};
+  return {true, it->second};
+}
+
 int BspHashMap::owner(std::int64_t key) const {
   return shard_owner(key, ctx_->size());
 }
@@ -17,83 +75,44 @@ void BspHashMap::queue_get(std::int64_t key) {
   pending_gets_.push_back(key);
 }
 
-std::vector<BspHashMap::GetResult> BspHashMap::round() {
+std::vector<GetResult> BspHashMap::round() {
   ReliableModeScope guard(*ctx_, opts_.reliable || ctx_->reliable());
-  const int p = ctx_->size();
-  const auto up = static_cast<std::size_t>(p);
+  const auto up = static_cast<std::size_t>(ctx_->size());
   const std::int64_t this_round = ++round_;
 
-  // Wire format per destination:
-  // [round, n_puts, k1, v1, ..., n_gets, g1, ...]. The round number lets
-  // the owner assert exactly-once application per source.
+  // One request batch per destination, numbered by the round.
   std::vector<std::vector<std::int64_t>> outgoing(up);
   {
     std::vector<std::vector<std::pair<std::int64_t, std::int64_t>>> puts(up);
     std::vector<std::vector<std::int64_t>> gets(up);
     for (const auto& [k, v] : pending_puts_)
       puts[static_cast<std::size_t>(owner(k))].emplace_back(k, v);
-    for (const auto k : pending_gets_) {
+    for (const auto k : pending_gets_)
       gets[static_cast<std::size_t>(owner(k))].push_back(k);
-    }
-    for (std::size_t d = 0; d < up; ++d) {
-      auto& msg = outgoing[d];
-      msg.push_back(this_round);
-      msg.push_back(static_cast<std::int64_t>(puts[d].size()));
-      for (const auto& [k, v] : puts[d]) {
-        msg.push_back(k);
-        msg.push_back(v);
-      }
-      msg.push_back(static_cast<std::int64_t>(gets[d].size()));
-      for (const auto k : gets[d]) msg.push_back(k);
-    }
+    for (std::size_t d = 0; d < up; ++d)
+      outgoing[d] = detail::encode_batch(this_round, puts[d], gets[d]);
   }
-  const std::size_t n_gets = pending_gets_.size();
-  std::vector<std::int64_t> get_keys = std::move(pending_gets_);
+  const std::vector<std::int64_t> get_keys = std::move(pending_gets_);
   pending_puts_.clear();
   pending_gets_.clear();
 
-  auto incoming = ctx_->alltoall(std::move(outgoing));
+  const auto incoming = ctx_->alltoall(std::move(outgoing));
 
-  // Apply puts in source-rank order (deterministic last-writer-wins),
-  // then answer gets: reply format per source: [found1, val1, ...] in the
-  // source's request order.
+  // Apply every source's puts in source-rank order (deterministic
+  // last-writer-wins), then answer every source's gets: one [found,
+  // value] pair per get, in the source's request order.
+  std::vector<std::size_t> gets_at(up);
+  for (std::size_t s = 0; s < up; ++s)
+    gets_at[s] = shard_.apply(static_cast<int>(s), incoming[s]);
   std::vector<std::vector<std::int64_t>> replies(up);
-  for (std::size_t s = 0; s < up; ++s) {
-    const auto& msg = incoming[s];
-    std::size_t i = 0;
-    const auto got_round = msg.at(i++);
-    if (got_round != peer_round_[s] + 1)
-      throw std::logic_error(
-          "dht: round desync from rank " + std::to_string(s) + " (expected " +
-          std::to_string(peer_round_[s] + 1) + ", got " +
-          std::to_string(got_round) + ") — a batch was replayed or lost");
-    peer_round_[s] = got_round;
-    const auto n_puts = static_cast<std::size_t>(msg.at(i++));
-    for (std::size_t k = 0; k < n_puts; ++k) {
-      const auto key = msg.at(i++);
-      const auto value = msg.at(i++);
-      shard_[key] = value;
-    }
-  }
-  for (std::size_t s = 0; s < up; ++s) {
-    const auto& msg = incoming[s];
-    std::size_t i = 1;  // skip round number
-    const auto n_puts = static_cast<std::size_t>(msg.at(i++));
-    i += 2 * n_puts;
-    const auto n = static_cast<std::size_t>(msg.at(i++));
-    for (std::size_t k = 0; k < n; ++k) {
-      const auto key = msg.at(i++);
-      const auto it = shard_.find(key);
-      replies[s].push_back(it != shard_.end() ? 1 : 0);
-      replies[s].push_back(it != shard_.end() ? it->second : 0);
-    }
-  }
-  auto answers = ctx_->alltoall(std::move(replies));
+  for (std::size_t s = 0; s < up; ++s)
+    shard_.answer(incoming[s], gets_at[s], replies[s]);
+  const auto answers = ctx_->alltoall(std::move(replies));
 
   // Scatter answers back into queue order.
-  std::vector<GetResult> results(n_gets);
+  std::vector<GetResult> results(get_keys.size());
   std::vector<std::size_t> cursor(up, 0);
-  for (std::size_t slot = 0; slot < n_gets; ++slot) {
+  for (std::size_t slot = 0; slot < get_keys.size(); ++slot) {
     const auto d = static_cast<std::size_t>(owner(get_keys[slot]));
     const std::size_t c = cursor[d]++;
     results[slot].key = get_keys[slot];

@@ -36,7 +36,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "pdc/mp/comm.hpp"
@@ -341,8 +340,7 @@ class DhtClient {
   /// that hold OpRefs into it; see ~DhtClient for the escaped-future case.
   std::unique_ptr<detail::OpPool> pool_;
   std::vector<DestQueue> dest_;
-  std::unordered_map<std::int64_t, std::int64_t> shard_;
-  std::vector<std::int64_t> peer_seq_;  ///< last batch applied, per source
+  detail::Shard shard_;
   /// Per-op metric bumps accumulate here and flush to the process-global
   /// (atomic, sharded) counters per batch and at every blocking point — a
   /// global add per op is measurable on the serving hot path.

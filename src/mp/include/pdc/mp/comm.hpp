@@ -237,6 +237,8 @@ class RankContext {
 
   // ---- collectives (every rank must call, in the same order) ----
 
+  /// The reduce tree toward rank 0 carrying an empty token, then the
+  /// broadcast tree releasing every rank: 2(P-1) messages, no payload.
   void barrier();
 
   /// Root's `data` is distributed to all ranks; everyone returns it.
@@ -246,6 +248,7 @@ class RankContext {
                                CollectiveAlgo algo = CollectiveAlgo::kTree);
 
   /// Combine every rank's value at root (others return identity(op)).
+  /// The flat root receives per source, in rank order.
   std::int64_t reduce(int root, std::int64_t value, ReduceOp op,
                       CollectiveAlgo algo = CollectiveAlgo::kTree);
 
@@ -283,6 +286,13 @@ class RankContext {
   /// Fresh reserved (negative) tag for the next collective. Every rank
   /// calls collectives in the same order, so local counters agree.
   [[nodiscard]] int next_collective_tag();
+
+  /// The binomial reduce tree toward `root` on `tag`: folds each child's
+  /// payload into `payload` word by word with `op`, then sends it to the
+  /// parent. Returns true at the root, which ends holding the total. An
+  /// empty payload is a token: the tree then only waits for every rank.
+  bool reduce_tree(int root, int tag, std::vector<std::int64_t>& payload,
+                   ReduceOp op);
 
   /// If the fault plan kills this rank at this op count, die now.
   void maybe_kill();

@@ -10,16 +10,18 @@
 // Reliable mode routes both all-to-alls over the communicator's reliable
 // channel: every request batch is sequence-numbered per flow, acked, and
 // retransmitted with exponential backoff on loss; replayed batches are
-// suppressed at the transport, and each round additionally carries a
-// round number so an owner can prove it applies every batch exactly once
-// (a replayed or skipped round throws instead of silently corrupting the
+// suppressed at the transport, and each round's batch carries the round
+// number as its sequence number, so an owner's shard (the one DhtClient
+// serves through) can prove it applies every batch exactly once (a
+// replayed or skipped round throws instead of silently corrupting the
 // shard). Under a FaultPlan, a round either completes with the fault-free
 // answer or throws RankFailedError — it never hangs and never returns a
 // wrong answer.
 
 #include <cstdint>
-#include <optional>
+#include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "pdc/mp/comm.hpp"
@@ -39,6 +41,48 @@ namespace pdc::mp {
   return static_cast<int>(detail::mix64(static_cast<std::uint64_t>(key)) %
                           static_cast<std::uint64_t>(ranks));
 }
+
+namespace detail {
+
+/// One rank's request batch to one shard, the wire format of both DHT
+/// drivers: [seq, n_puts, k1, v1, ..., n_gets, g1, ...]. `seq` numbers
+/// the batches on that flow from 1, so the shard can prove it applies
+/// each exactly once.
+[[nodiscard]] std::vector<std::int64_t> encode_batch(
+    std::int64_t seq,
+    std::span<const std::pair<std::int64_t, std::int64_t>> puts,
+    std::span<const std::int64_t> gets);
+
+/// The keys one rank owns, and the last batch it applied from each
+/// source: the server half of both DHT drivers.
+class Shard {
+ public:
+  explicit Shard(int sources) : floor_(static_cast<std::size_t>(sources)) {}
+
+  /// Applies a request batch's puts in order and returns the index of its
+  /// get count, for answer(). A batch that is not the next one from
+  /// `source` (a replay or a skip) throws std::logic_error and changes
+  /// nothing. Every read is bounds-checked, since on the process
+  /// transports the batch comes from another process: a batch cut short
+  /// throws std::out_of_range.
+  std::size_t apply(int source, const std::vector<std::int64_t>& batch);
+
+  /// Appends [found, value] to `reply` for each get of `batch`, whose get
+  /// count apply() found at `gets_at`, in request order.
+  void answer(const std::vector<std::int64_t>& batch, std::size_t gets_at,
+              std::vector<std::int64_t>& reply) const;
+
+  /// (found, value) for `key`; value 0 when it is absent.
+  [[nodiscard]] std::pair<bool, std::int64_t> get(std::int64_t key) const;
+  void put(std::int64_t key, std::int64_t value) { map_[key] = value; }
+  [[nodiscard]] std::size_t size() const { return map_.size(); }
+
+ private:
+  std::unordered_map<std::int64_t, std::int64_t> map_;
+  std::vector<std::int64_t> floor_;  ///< last batch applied, per source
+};
+
+}  // namespace detail
 
 /// Result of one get, in queue/submission order.
 struct GetResult {
@@ -60,18 +104,13 @@ class BspHashMap {
 
   explicit BspHashMap(RankContext& ctx) : BspHashMap(ctx, Options{}) {}
   BspHashMap(RankContext& ctx, Options opts)
-      : ctx_(&ctx),
-        opts_(opts),
-        peer_round_(static_cast<std::size_t>(ctx.size()), 0) {}
+      : ctx_(&ctx), opts_(opts), shard_(ctx.size()) {}
 
   /// Queue a put for the next round (applied at the owner).
   void queue_put(std::int64_t key, std::int64_t value);
 
   /// Queue a get for the next round; the result arrives after round().
   void queue_get(std::int64_t key);
-
-  /// Result of one get, in queue order (alias kept for existing callers).
-  using GetResult = pdc::mp::GetResult;
 
   /// Execute one synchronous round: route queued puts and gets to their
   /// owner ranks, apply puts (last-writer-wins within a round is resolved
@@ -88,11 +127,10 @@ class BspHashMap {
  private:
   RankContext* ctx_;
   Options opts_;
-  std::unordered_map<std::int64_t, std::int64_t> shard_;
+  detail::Shard shard_;
   std::vector<std::pair<std::int64_t, std::int64_t>> pending_puts_;
   std::vector<std::int64_t> pending_gets_;
-  std::int64_t round_ = 0;            ///< rounds this rank has issued
-  std::vector<std::int64_t> peer_round_;  ///< last round applied per source
+  std::int64_t round_ = 0;  ///< rounds this rank has issued
 };
 
 }  // namespace pdc::mp

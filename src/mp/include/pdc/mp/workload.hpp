@@ -27,12 +27,12 @@ class SplitMix64 {
  public:
   explicit SplitMix64(std::uint64_t seed) : x_(seed) {}
 
+  /// mix64 of the state, which then steps by mix64's golden-ratio
+  /// increment.
   std::uint64_t next() {
+    const std::uint64_t z = detail::mix64(x_);
     x_ += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = x_;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    return z;
   }
 
   /// Uniform double in [0, 1) (53-bit mantissa trick).

@@ -1,15 +1,14 @@
 #include "pdc/stencil/heat.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string_view>
 #include <type_traits>
 
-#include "pdc/obs/metrics.hpp"
 #include "pdc/stencil/vector_width.hpp"
 
 namespace pdc::stencil {
@@ -112,82 +111,34 @@ template <std::size_t kBytes>
   }
 }
 
-/// HeatWorkload::step_tile at kBytes per vector. A tile narrower than one
-/// vector runs whole at a narrower width, so its rows skip the step-down.
-template <std::size_t kBytes>
-[[gnu::always_inline]] inline double step_tile_at(const HeatField& src,
-                                                  HeatField& dst,
-                                                  const TileBounds& b,
-                                                  float k) {
-  if constexpr (kBytes > 16) {
-    if (b.cols() < kBytes / 4)
-      return step_tile_at<kBytes / 2>(src, dst, b, k);
+/// HeatWorkload::step_tile at each vector width.
+struct HeatTile {
+  static constexpr std::string_view kGauge = "stencil.heat_kernel_lanes";
+  static constexpr std::size_t kUnitBytes = sizeof(float);
+
+  /// The tile at kBytes per vector. A tile narrower than one vector runs
+  /// whole at a narrower width, so its rows skip the step-down.
+  template <std::size_t kBytes>
+  [[gnu::always_inline]] static double run(const HeatField& src,
+                                           HeatField& dst, const TileBounds& b,
+                                           float k) {
+    if constexpr (kBytes > 16) {
+      if (b.cols() < kBytes / 4) return run<kBytes / 2>(src, dst, b, k);
+    }
+    MaxDelta<kBytes> max;
+    for (std::size_t r = b.r0; r < b.r1; ++r) {
+      const auto ri = static_cast<std::ptrdiff_t>(r);
+      const RowPtrs row{&src.at(ri - 1, 0), &src.at(ri, 0),
+                        &src.at(ri + 1, 0), &dst.at(ri, 0)};
+      step_cells<kBytes>(row, b.c0, b.c1, k, max);
+    }
+    return static_cast<double>(fold(max));
   }
-  MaxDelta<kBytes> max;
-  for (std::size_t r = b.r0; r < b.r1; ++r) {
-    const auto ri = static_cast<std::ptrdiff_t>(r);
-    const RowPtrs row{&src.at(ri - 1, 0), &src.at(ri, 0), &src.at(ri + 1, 0),
-                      &dst.at(ri, 0)};
-    step_cells<kBytes>(row, b.c0, b.c1, k, max);
-  }
-  return static_cast<double>(fold(max));
-}
+};
 
-using StepTileFn = double (*)(const HeatField&, HeatField&, const TileBounds&,
-                              float);
-
-double step_tile_16(const HeatField& src, HeatField& dst, const TileBounds& b,
-                    float k) {
-  return step_tile_at<16>(src, dst, b, k);
-}
-
-#if defined(__x86_64__)
-[[gnu::target("avx2")]] double step_tile_32(const HeatField& src,
-                                            HeatField& dst,
-                                            const TileBounds& b, float k) {
-  return step_tile_at<32>(src, dst, b, k);
-}
-
-[[gnu::target("avx512f")]] double step_tile_64(const HeatField& src,
-                                               HeatField& dst,
-                                               const TileBounds& b, float k) {
-  return step_tile_at<64>(src, dst, b, k);
-}
-#endif
-
-/// The kernel compiled for `vector_bytes`. Throws std::invalid_argument
-/// unless this CPU runs that width.
-StepTileFn step_tile_fn(std::size_t vector_bytes) {
-  const auto widths = vector_widths();
-  if (std::find(widths.begin(), widths.end(), vector_bytes) == widths.end())
-    throw std::invalid_argument("heat kernel: vector width not run here");
-#if defined(__x86_64__)
-  if (vector_bytes == 64) return step_tile_64;
-  if (vector_bytes == 32) return step_tile_32;
-#endif
-  return step_tile_16;
-}
-
-double resolve_step_tile(const HeatField& src, HeatField& dst,
-                         const TileBounds& b, float k);
-
-/// The kernel HeatWorkload::step_tile calls: resolve_step_tile until its
-/// first call swaps in the widest width's kernel. A constant-initialized
-/// pointer costs each tile one load, where a function-local static would
-/// add a guard check and register saves to every call.
-std::atomic<StepTileFn> picked_step_tile{resolve_step_tile};
-
-/// Picks the widest width this CPU runs, names it in the obs gauge, and
-/// steps the tile with it. Threads racing here all store the same kernel.
-double resolve_step_tile(const HeatField& src, HeatField& dst,
-                         const TileBounds& b, float k) {
-  const std::size_t bytes = vector_widths().back();
-  obs::gauge("stencil.heat_kernel_lanes")
-      .set(static_cast<std::int64_t>(bytes / sizeof(float)));
-  const StepTileFn step = step_tile_fn(bytes);
-  picked_step_tile.store(step, std::memory_order_relaxed);
-  return step(src, dst, b, k);
-}
+using HeatDispatch =
+    VectorDispatch<HeatTile, double(const HeatField&, HeatField&,
+                                    const TileBounds&, float)>;
 
 /// The engine options for `o`; every heat entry point goes through here.
 /// Throws std::invalid_argument unless 0 < conductivity <= 1, the range on
@@ -281,15 +232,14 @@ double HeatField::max_abs_diff(const HeatField& other) const {
 
 double HeatWorkload::step_tile(const Field& src, Field& dst,
                                const TileBounds& b) const {
-  return picked_step_tile.load(std::memory_order_relaxed)(
-      src, dst, b, static_cast<float>(conductivity));
+  return HeatDispatch::widest(src, dst, b, static_cast<float>(conductivity));
 }
 
 double detail::heat_step_tile(std::size_t vector_bytes, const HeatWorkload& w,
                               const HeatField& src, HeatField& dst,
                               const TileBounds& b) {
-  return step_tile_fn(vector_bytes)(src, dst, b,
-                                    static_cast<float>(w.conductivity));
+  return HeatDispatch::at(vector_bytes)(src, dst, b,
+                                        static_cast<float>(w.conductivity));
 }
 
 void HeatWorkload::pack_row(const Field& f, bool top,

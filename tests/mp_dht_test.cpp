@@ -1,5 +1,6 @@
-// Tests for DHT shard placement and the pipelined async client:
-// the identity-hash skew regression, Zipf workload generation, client
+// Tests for DHT shard placement, the shard both drivers serve through,
+// and the pipelined async client: the identity-hash skew regression,
+// the shard's exactly-once check, Zipf workload generation, client
 // semantics (batch coalescing, windows/backpressure/shedding, fences,
 // shutdown), op-for-op equivalence against the BSP baseline, and fault
 // recovery on the reliable channel.
@@ -12,7 +13,10 @@
 #include <functional>
 #include <limits>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "pdc/mp/client.hpp"
@@ -143,6 +147,65 @@ TEST(Zipf, ThetaZeroIsRoughlyUniform) {
   for (int i = 0; i < 16000; ++i) ++freq[static_cast<std::size_t>(z.next())];
   const auto [mn, mx] = std::minmax_element(freq.begin(), freq.end());
   EXPECT_LT(static_cast<double>(*mx) / static_cast<double>(*mn), 1.5);
+}
+
+TEST(SplitMix64, MatchesTheReferenceStream) {
+  // splitmix64's published outputs for seed 0.
+  mp::SplitMix64 rng(0);
+  EXPECT_EQ(rng.next(), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(rng.next(), 0x6e789e6aa1b965f4ULL);
+  EXPECT_EQ(rng.next(), 0x06c45d188009454fULL);
+}
+
+// ------------------------------------------------------------- shard ---
+
+// The server half both drivers share: each source's batches apply once,
+// in order, against one map.
+TEST(DhtShard, AppliesEachSourcesBatchesExactlyOnce) {
+  using Puts = std::vector<std::pair<std::int64_t, std::int64_t>>;
+  using Words = std::vector<std::int64_t>;
+  mp::detail::Shard shard(2);
+  const auto desync = [&](int source, const Words& batch) {
+    try {
+      (void)shard.apply(source, batch);
+    } catch (const std::out_of_range&) {
+      return false;
+    } catch (const std::logic_error& e) {
+      return std::string(e.what()).find("desync") != std::string::npos;
+    }
+    return false;
+  };
+
+  // Source 0's batches 1 and 2 apply, and batch 2's gets see its puts.
+  (void)shard.apply(0, mp::detail::encode_batch(1, Puts{{10, 100}}, Words{}));
+  const Words b2 =
+      mp::detail::encode_batch(2, Puts{{11, 110}}, Words{10, 11, 12});
+  EXPECT_EQ(b2, (Words{2, 1, 11, 110, 3, 10, 11, 12}));
+  Words reply{2};
+  shard.answer(b2, shard.apply(0, b2), reply);
+  EXPECT_EQ(reply, (Words{2, 1, 100, 1, 110, 0, 0}));
+
+  // A replay of batch 2 and a skip to batch 4 throw and apply nothing.
+  EXPECT_TRUE(desync(0, mp::detail::encode_batch(2, Puts{{12, 1}}, Words{})));
+  EXPECT_TRUE(desync(0, mp::detail::encode_batch(4, Puts{{12, 1}}, Words{})));
+  EXPECT_EQ(shard.size(), 2u);
+  EXPECT_FALSE(shard.get(12).first);
+
+  // Source 1 keeps its own floor: it starts at 1 while source 0 is at 3.
+  EXPECT_TRUE(desync(1, mp::detail::encode_batch(2, Puts{}, Words{})));
+  (void)shard.apply(1, mp::detail::encode_batch(1, Puts{{10, 101}}, Words{}));
+  (void)shard.apply(0, mp::detail::encode_batch(3, Puts{}, Words{}));
+  EXPECT_EQ(shard.get(10), (std::pair<bool, std::int64_t>{true, 101}));
+
+  // A batch cut short, in its puts or in its gets, is refused, and so is
+  // a get count past the end of the batch.
+  EXPECT_THROW((void)shard.apply(1, Words{2, 1, 13}), std::out_of_range);
+  mp::detail::Shard fresh(1);
+  for (const Words& bad : {Words{1, 0, 2, 10}, Words{2, 0, -1}}) {
+    reply.clear();
+    EXPECT_THROW(fresh.answer(bad, fresh.apply(0, bad), reply),
+                 std::out_of_range);
+  }
 }
 
 // -------------------------------------------------------- client basics ---

@@ -311,6 +311,31 @@ TEST(DeadRank, AnySourceRecvFailsWhenAllPeersExit) {
   EXPECT_EQ(failures.load(), 1);
 }
 
+TEST(DeadRank, FlatReduceFailsWhenAContributorDiesWhileAnotherWaits) {
+  // Rank 2 dies before contributing, while rank 1 contributes and then
+  // waits on the root. The root receives per source, so it finds rank 2
+  // dead at once; an any-source wait would stay open for as long as
+  // rank 1 runs, and rank 1 waits for the root: a hang.
+  mp::Communicator comm(3);
+  try {
+    comm.run([&](mp::RankContext& ctx) {
+      const int r = ctx.rank();
+      if (r == 2) throw std::runtime_error("rank 2 died");
+      const std::int64_t sum =
+          ctx.reduce(0, r + 1, mp::ReduceOp::kSum, mp::CollectiveAlgo::kFlat);
+      if (r == 0)
+        ctx.send_value(1, 7, sum);
+      else
+        (void)ctx.recv_value(0, 7);
+    });
+    FAIL() << "expected rank 2's exception";
+  } catch (const mp::RankFailedError&) {
+    FAIL() << "root cause (runtime_error) must beat the cascade";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "rank 2 died");
+  }
+}
+
 TEST(DeadRank, RecvOutOfRangeSourceRejected) {
   mp::Communicator comm(2);
   EXPECT_THROW(comm.run([&](mp::RankContext& ctx) {

@@ -269,6 +269,10 @@ TEST_P(CommSizeSweep, BarrierSeparatesPhases) {
     if (before.load() != p) violations.fetch_add(1);
   });
   EXPECT_EQ(violations.load(), 0);
+  // An empty token up the reduce tree and an empty release down the
+  // broadcast tree: P - 1 messages each way, no payload.
+  EXPECT_EQ(comm.traffic().messages, 2u * static_cast<std::uint64_t>(p - 1));
+  EXPECT_EQ(comm.traffic().payload_words, 0u);
 }
 
 TEST_P(CommSizeSweep, ConsecutiveCollectivesDoNotCrosstalk) {
