@@ -9,6 +9,9 @@
 // the reason every downstream parallel bench is now less dominated by
 // thread-creation noise. The "2 in 2" row nests a 2-rank region inside
 // each rank of a 2-rank region, which the pool serves like any other.
+// At P=2 and P=4 the table also times an empty in-process
+// mp::Communicator world, which runs its ranks as one pooled region, so
+// it should cost a pooled region plus the world's own bookkeeping.
 //
 // Expected shape: pooled launch latency is several-fold (target >= 5x at
 // 8 threads) below forked and grows slowly with P; the gap shrinks as the
@@ -42,6 +45,7 @@
 
 #include "pdc/core/parallel_for.hpp"
 #include "pdc/core/team.hpp"
+#include "pdc/mp/comm.hpp"
 #include "pdc/perf/table.hpp"
 #include "pdc/perf/timer.hpp"
 #include "pdc/sync/barrier.hpp"
@@ -90,6 +94,15 @@ Spread region_launch_us(int threads, bool reuse_pool, int regions,
   });
 }
 
+/// Empty in-process mp worlds, in us per world: Communicator::run with
+/// an empty body, on one reused `ranks`-rank Communicator.
+Spread world_launch_us(int ranks, int worlds) {
+  pdc::mp::Communicator comm(ranks);
+  return time_batches(worlds, [&] {
+    for (int i = 0; i < worlds; ++i) comm.run([](pdc::mp::RankContext&) {});
+  });
+}
+
 /// Busy-waits for `us` microseconds: the fixed work of a barrier step.
 void busy_us(int us) {
   const auto until =
@@ -118,15 +131,22 @@ void print_launch_table() {
   pdc::core::Team::run(8, [](pdc::core::TeamContext&) {});
 
   pdc::perf::Table t({"threads", "forked us/region", "pooled us/region",
-                      "forked/pooled"});
+                      "forked/pooled", "mp world us/world", "world/pooled"});
+  const auto ratio = [](const Spread& a, const Spread& b) {
+    return pdc::perf::fmt(b.median > 0 ? a.median / b.median : 0.0, 1);
+  };
   const auto add_row = [&](const std::string& label, int p, bool nested) {
     const int regions = p >= 4 || nested ? 200 : 500;
     const Spread forked = region_launch_us(p, false, regions, nested);
     const Spread pooled = region_launch_us(p, true, regions, nested);
-    t.add_row({label, fmt(forked), fmt(pooled),
-               pdc::perf::fmt(
-                   pooled.median > 0 ? forked.median / pooled.median : 0.0,
-                   1)});
+    std::string world = "-", world_ratio = "-";
+    if (!nested && (p == 2 || p == 4)) {
+      const Spread w = world_launch_us(p, regions);
+      world = fmt(w);
+      world_ratio = ratio(w, pooled);
+    }
+    t.add_row({label, fmt(forked), fmt(pooled), ratio(forked, pooled), world,
+               world_ratio});
   };
   for (int p : {1, 2, 4, 8}) add_row(std::to_string(p), p, false);
   add_row("2 in 2", 2, true);
@@ -135,7 +155,9 @@ void print_launch_table() {
             << "(median [quartiles] of " << kBatches
             << " batches; threads=1 runs inline on both paths; the forked "
                "column pays P spawns+joins per region; \"2 in 2\" times one "
-               "2-rank region whose ranks each launch a 2-rank region)\n\n";
+               "2-rank region whose ranks each launch a 2-rank region; an mp "
+               "world is one empty Communicator::run of P in-process ranks)"
+               "\n\n";
 
   // The same gap seen through parallel_for on a short loop.
   std::vector<double> xs(1 << 14, 1.0);

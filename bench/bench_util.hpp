@@ -66,7 +66,8 @@ inline Options parse_args(int& argc, char** argv) {
       opt.trace_path = env;
   }
   if (!opt.trace_path.empty()) {
-    obs::set_thread_label("main");
+    // main's spans go to a "main" track for the rest of the process.
+    static const obs::ThreadLabel main_label("main");
     obs::set_tracing_enabled(true);
   }
   return opt;

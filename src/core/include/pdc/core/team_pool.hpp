@@ -1,11 +1,13 @@
 #pragma once
 // The process-wide pool of parked worker threads behind every parallel
-// construct in pdc::core. Workers are started on demand, and each is
-// handed one job at a time, of two kinds:
+// construct in pdc::core and every in-process mp::Communicator world.
+// Workers are started on demand, and each is handed one job at a time,
+// of two kinds:
 //  - A region member. Team::run(P) takes P-1 idle workers for ranks
 //    1..P-1, starting more when too few are idle, and runs rank 0 on the
 //    caller's thread. Regions launched from inside a region, or from
-//    several threads at once, are served the same way.
+//    several threads at once, are served the same way. An in-process mp
+//    world is one such region, one mp rank per member.
 //  - An offered Job: invoke_parallel's forked branch or a TaskGroup task.
 //    It waits in a FIFO queue for an idle worker or for the next one that
 //    frees up. Its owner's join() runs it inline if no worker has started

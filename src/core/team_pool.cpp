@@ -70,9 +70,9 @@ TeamPool::Worker& TeamPool::wake_idle(Region* region, int rank) {
 }
 
 void TeamPool::worker_loop(Worker& w, std::size_t index) {
-  // Pool workers are long-lived, so label the trace track unconditionally
-  // — cheap, and spans land on a stable lane.
-  obs::set_thread_label("core.team/" + std::to_string(index + 1));
+  // The worker's own track for its lifetime; a job may name another one
+  // while it runs (a rank's "mp/r"), and the worker comes back here.
+  const obs::ThreadLabel label("core.team/" + std::to_string(index + 1));
   while (true) {
     if (!spin_until([&] { return w.woken.load(std::memory_order_acquire); }))
       w.woken.wait(0, std::memory_order_acquire);

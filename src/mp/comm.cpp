@@ -12,6 +12,7 @@
 #include <thread>
 #include <unordered_map>
 
+#include "pdc/core/team.hpp"
 #include "pdc/obs/obs.hpp"
 
 namespace pdc::mp {
@@ -74,7 +75,7 @@ obs::Histogram& payload_histogram() {
 }
 }  // namespace
 
-/// What a rank thread is doing. Anything but kRunning means "this rank
+/// What a rank is doing. Anything but kRunning means "this rank
 /// will never send another message" — blocked receivers use that to turn
 /// a guaranteed hang into RankFailedError.
 enum RankState : int { kRunning = 0, kFinished, kKilled, kErrored };
@@ -211,7 +212,7 @@ struct CommState : public Transport::Sink {
 
   /// Liveness event from the transport: a remote peer finished, errored,
   /// or vanished (SIGKILL). Wakes every blocked receiver, exactly like a
-  /// local rank thread ending does.
+  /// local rank ending does.
   void peer_stopped(int rank, int state) override {
     if (rank < 0 || rank >= size) return;
     mark(rank, static_cast<RankState>(state));
@@ -457,9 +458,15 @@ void Communicator::run(const std::function<void(RankContext&)>& body) {
   const auto up = static_cast<std::size_t>(size_);
   std::vector<std::exception_ptr> root_causes(up);
   std::vector<std::exception_ptr> cascade(up);  // RankFailedError
-  auto rank_main = [&](int r) {
+  // The local ranks are one pooled team region, the caller running rank
+  // `first`: a region of one runs inline. Each member catches all its
+  // rank's errors, so none reaches the team.
+  core::Team::run(last - first, [&](core::TeamContext& team) {
+    const int r = first + team.rank();
     const auto ur = static_cast<std::size_t>(r);
     try {
+      // Rank r's spans land on the "mp/r" track, whichever thread runs it.
+      const obs::ThreadLabel label("mp/" + std::to_string(r));
       RankContext ctx(this, r);
       body(ctx);
       st.mark(r, detail::kFinished);
@@ -472,23 +479,7 @@ void Communicator::run(const std::function<void(RankContext&)>& body) {
       root_causes[ur] = std::current_exception();
       st.mark(r, detail::kErrored);
     }
-  };
-
-  if (last - first == 1) {
-    rank_main(first);
-  } else {
-    std::vector<std::jthread> threads;
-    threads.reserve(static_cast<std::size_t>(last - first));
-    for (int r = first; r < last; ++r) {
-      threads.emplace_back([&, r] {
-        // Rank threads own their trace track: spans from rank r land on
-        // the "mp/r" timeline, stable run over run.
-        if (obs::tracing_enabled())
-          obs::set_thread_label("mp/" + std::to_string(r));
-        rank_main(r);
-      });
-    }
-  }  // the jthreads join here
+  });
 
   // Tell the peers how this process's rank ended and wait for theirs
   // (nothing to do on inproc, where every rank is local).

@@ -358,9 +358,10 @@ class Communicator {
   /// handshake happens in run(), which all ranks must reach.
   explicit Communicator(const TransportOptions& topt, FaultPlan plan = {});
 
-  /// Run the body on every local rank and wait for them: inline when
-  /// there is one (a process backend, or a world of one), otherwise one
-  /// thread per rank. Then the transport's finish() tells the peers how
+  /// Run the body on every local rank and wait for them, as one pooled
+  /// core::Team region whose rank 0 is the caller: a process backend's
+  /// one rank, or a world of one, runs inline; inproc ranks 1..P-1 run on
+  /// parked pool workers. Then the transport's finish() tells the peers how
   /// this process's rank ended and waits for theirs, and run() rethrows
   /// in one order on every backend: a root-cause (non-RankFailedError)
   /// exception first, by rank; then a fault-plan kill, as a deterministic

@@ -142,8 +142,8 @@ class Transport {
   /// carrying `state` (the local rank's terminal RankState) behind the
   /// frames already queued, wait up to 2 s for them to drain and up to 2 s
   /// for every peer's stop, then tear down. After finish() the sink is
-  /// never called again. A no-op on inproc, whose rank threads mark their
-  /// own terminal state.
+  /// never called again. A no-op on inproc, whose ranks mark their own
+  /// terminal state.
   virtual void finish(int state) = 0;
 };
 

@@ -217,7 +217,7 @@ LaunchResult run_inproc(const LaunchOptions& opt, SpmdBodyFn fn) {
     res.ranks[static_cast<std::size_t>(r)].out =
         std::move(ios[static_cast<std::size_t>(r)].out);
   }
-  // All rank threads have joined: the shared ledger is quiescent and IS
+  // Every rank has finished: the shared ledger is quiescent and IS
   // the whole-world total the process backends reconstruct by summation.
   res.traffic = comm.traffic();
   return res;

@@ -36,7 +36,7 @@ namespace {
 /// All ranks are threads of this process: a "send" is a synchronous call
 /// into the sink on the sending rank's thread. The seed behavior, byte
 /// for byte — no queueing, no progress thread, and no liveness machinery
-/// (rank threads mark their own terminal state in CommState directly, so
+/// (ranks mark their own terminal state in CommState directly, so
 /// finish is a no-op).
 class InprocTransport final : public Transport {
  public:

@@ -8,6 +8,8 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <string_view>
+#include <utility>
 
 #include "pdc/perf/table.hpp"
 
@@ -25,25 +27,27 @@ std::int64_t trace_now_ns() noexcept {
       .count();
 }
 
-namespace {
-
-std::atomic<std::size_t> g_capacity{std::size_t{1} << 15};
-
-/// One thread's span buffer. The owner thread emits under `m`; collectors
-/// read under `m`. The sink keeps a shared_ptr so events survive the
-/// thread, and the thread keeps one so emission never races teardown.
-struct ThreadBuf {
+/// One track's span buffer. The thread holding it emits under `m`;
+/// collectors read under `m`. The sink keeps a shared_ptr so events
+/// outlive the label or thread that made them, and that owner keeps one
+/// so emission never races clear_trace's pruning.
+struct TrackBuf {
+  explicit TrackBuf(std::string_view l) : label(l) {}
+  const std::string label;
   std::mutex m;
-  std::string label = "thread";
-  std::uint64_t seq = 0;  ///< registration order (sort tiebreak)
+  std::uint64_t seq = 0;  ///< creation order (sort tiebreak)
   std::uint64_t dropped = 0;
   std::vector<TraceEvent> events;
 };
 
+namespace {
+
+std::atomic<std::size_t> g_capacity{std::size_t{1} << 15};
+
 struct Sink {
   std::mutex m;
   std::uint64_t next_seq = 0;
-  std::vector<std::shared_ptr<ThreadBuf>> bufs;
+  std::vector<std::shared_ptr<TrackBuf>> bufs;
 
   static Sink& instance() {
     static Sink s;
@@ -51,24 +55,27 @@ struct Sink {
   }
 };
 
-ThreadBuf& tls_buf() {
-  thread_local std::shared_ptr<ThreadBuf> buf = [] {
-    auto b = std::make_shared<ThreadBuf>();
-    Sink& sink = Sink::instance();
-    std::lock_guard lk(sink.m);
-    b->seq = sink.next_seq++;
-    sink.bufs.push_back(b);
-    return b;
-  }();
-  return *buf;
-}
-
+/// The calling thread's innermost live label, if any. Trivially
+/// destructible like tl_depth, so a ThreadLabel may end at static
+/// destruction.
+thread_local ThreadLabel* tl_label = nullptr;
+/// The thread's track while it holds no label, made by its first span.
+thread_local std::shared_ptr<TrackBuf> tl_unlabelled;
 thread_local std::uint32_t tl_depth = 0;
 
-/// Collect a consistent copy of every non-empty buffer, sorted by
-/// (label, registration order).
+std::shared_ptr<TrackBuf> new_track(std::string_view label) {
+  auto b = std::make_shared<TrackBuf>(label);
+  Sink& sink = Sink::instance();
+  std::lock_guard lk(sink.m);
+  b->seq = sink.next_seq++;
+  sink.bufs.push_back(b);
+  return b;
+}
+
+/// Collect a consistent copy of every non-empty track, sorted by
+/// (label, creation order).
 std::vector<ThreadTrace> collect() {
-  std::vector<std::shared_ptr<ThreadBuf>> bufs;
+  std::vector<std::shared_ptr<TrackBuf>> bufs;
   {
     Sink& sink = Sink::instance();
     std::lock_guard lk(sink.m);
@@ -113,7 +120,11 @@ void json_escape_into(std::string& out, const char* s) {
 
 void emit_span(const char* name, std::int64_t start_ns, std::int64_t end_ns,
                std::uint32_t depth) noexcept {
-  ThreadBuf& buf = tls_buf();
+  ThreadLabel* const label = tl_label;
+  std::shared_ptr<TrackBuf>& track =
+      label != nullptr ? label->track_ : tl_unlabelled;
+  if (!track) track = new_track(label != nullptr ? label->label_ : "thread");
+  TrackBuf& buf = *track;
   std::lock_guard lk(buf.m);
   if (buf.events.size() >= g_capacity.load(std::memory_order_relaxed)) {
     ++buf.dropped;
@@ -131,10 +142,14 @@ void set_tracing_enabled(bool on) noexcept {
   detail::g_tracing_enabled.store(on, std::memory_order_relaxed);
 }
 
-void set_thread_label(std::string label) {
-  detail::ThreadBuf& buf = detail::tls_buf();
-  std::lock_guard lk(buf.m);
-  buf.label = std::move(label);
+ThreadLabel::ThreadLabel(std::string label)
+    : label_(std::move(label)),
+      prev_(std::exchange(detail::tl_label, this)),
+      prev_depth_(std::exchange(detail::tl_depth, 0)) {}
+
+ThreadLabel::~ThreadLabel() {
+  detail::tl_label = prev_;
+  detail::tl_depth = prev_depth_;
 }
 
 std::vector<ThreadTrace> trace_threads() { return detail::collect(); }
@@ -153,10 +168,11 @@ void clear_trace() {
     b->events.clear();
     b->dropped = 0;
   }
-  // Buffers whose thread has exited (sink holds the only reference) have
-  // nothing left to record; drop them so labels don't pile up run over run.
+  // Tracks whose label has ended or whose thread has exited (the sink
+  // holds the only reference) have nothing left to record; drop them so
+  // tracks don't pile up run over run.
   std::erase_if(sink.bufs,
-                [](const std::shared_ptr<detail::ThreadBuf>& b) {
+                [](const std::shared_ptr<detail::TrackBuf>& b) {
                   return b.use_count() == 1;
                 });
 }
@@ -249,7 +265,7 @@ std::string trace_summary(std::size_t top_n) {
   std::string out = "== obs: top spans by total time ==\n" + table.str();
   if (dropped != 0)
     out += "(" + std::to_string(dropped) +
-           " spans dropped at the per-thread buffer cap)\n";
+           " spans dropped at the per-track buffer cap)\n";
   return out;
 }
 

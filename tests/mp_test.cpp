@@ -7,8 +7,12 @@
 #include <atomic>
 #include <mutex>
 #include <numeric>
+#include <set>
+#include <thread>
 
+#include "pdc/core/team_pool.hpp"
 #include "pdc/mp/comm.hpp"
+#include "pdc/obs/obs.hpp"
 
 namespace mp = pdc::mp;
 
@@ -330,6 +334,34 @@ TEST(Communicator, PropagatesRankException) {
                  if (ctx.rank() == 1) throw std::runtime_error("rank died");
                }),
                std::runtime_error);
+}
+
+// An in-process world is one pooled core::Team region: the caller runs
+// rank 0, each other rank runs on a parked pool worker, and once the
+// first world has started the workers it needs, later worlds start none.
+TEST(Communicator, InProcessRanksRunAsOnePooledRegion) {
+  mp::Communicator comm(4);
+  std::vector<std::thread::id> rank_thread(4);
+  const auto world = [&] {
+    comm.run([&](mp::RankContext& ctx) {
+      rank_thread[static_cast<std::size_t>(ctx.rank())] =
+          std::this_thread::get_id();
+      EXPECT_EQ(ctx.allreduce(1, mp::ReduceOp::kSum), 4);
+    });
+  };
+  world();
+  EXPECT_EQ(rank_thread[0], std::this_thread::get_id());
+  EXPECT_EQ(std::set<std::thread::id>(rank_thread.begin(), rank_thread.end())
+                .size(),
+            4u);
+
+  const auto& pool = pdc::core::TeamPool::instance();
+  const pdc::obs::Counter& forked = pdc::obs::counter("core.regions.forked");
+  const std::size_t workers = pool.workers_started();
+  const std::uint64_t forked_before = forked.value();
+  for (int i = 0; i < 50; ++i) world();
+  EXPECT_EQ(pool.workers_started(), workers);
+  EXPECT_EQ(forked.value(), forked_before);
 }
 
 // ------------------------------------------------- alltoall / sendrecv ---

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "pdc/core/team.hpp"
 #include "pdc/life/engine.hpp"
 #include "pdc/life/grid.hpp"
 #include "pdc/mp/comm.hpp"
@@ -470,7 +471,7 @@ TEST_F(Trace, SpansNestUnderConcurrentEmitters) {
     std::vector<std::jthread> ts;
     for (int t = 0; t < 4; ++t)
       ts.emplace_back([t] {
-        obs::set_thread_label("test.nest/" + std::to_string(t));
+        const obs::ThreadLabel label("test.nest/" + std::to_string(t));
         for (int i = 0; i < 50; ++i) {
           PDC_TRACE_SCOPE("test.nest.outer");
           PDC_TRACE_SCOPE("test.nest.mid");
@@ -529,6 +530,63 @@ TEST_F(Trace, RankLabelsAreStableAcrossRuns) {
   EXPECT_EQ(first, second);
   EXPECT_EQ(first, (std::vector<std::string>{"mp/0", "mp/1", "mp/2",
                                              "mp/3"}));
+}
+
+// Tracks follow the job, not the thread. From a thread labelled "main",
+// a traced P=3 world puts each rank's spans on "mp/r" from depth 0, rank
+// 0's too, though it runs on the caller inside the world's core.region
+// span; the pool workers that ran ranks 1 and 2 are back on their own
+// "core.team/k" tracks for the pooled region that follows, and the
+// caller's next span is back on "main".
+TEST_F(Trace, TracksFollowTheJobOnPooledThreads) {
+  const obs::ThreadLabel main_label("main");
+  obs::set_tracing_enabled(true);
+  pdc::mp::Communicator comm(3);
+  comm.run([](pdc::mp::RankContext& ctx) {
+    PDC_TRACE_SCOPE("test.rank");
+    (void)ctx.allreduce(1, pdc::mp::ReduceOp::kSum);
+  });
+  pdc::core::Team::run(3, [](pdc::core::TeamContext&) {
+    PDC_TRACE_SCOPE("test.team");
+  });
+  { PDC_TRACE_SCOPE("test.after"); }
+  obs::set_tracing_enabled(false);
+
+  std::set<std::string> rank_tracks, team_tracks;
+  std::size_t regions = 0, after = 0;
+  for (const auto& th : obs::trace_threads()) {
+    const bool rank_track = th.label.rfind("mp/", 0) == 0;
+    for (const auto& e : th.events) {
+      const std::string_view name(e.name);
+      // A rank track holds its rank body's outermost span at depth 0 and
+      // the mp spans nested in it, nothing else.
+      if (rank_track) {
+        EXPECT_EQ(e.depth == 0, name == "test.rank")
+            << th.label << " " << name;
+      }
+      if (name == "test.rank") rank_tracks.insert(th.label);
+      if (name == "test.team") team_tracks.insert(th.label);
+      if (name == "core.region") {
+        ++regions;
+        EXPECT_EQ(th.label, "main");
+        EXPECT_EQ(e.depth, 0u);
+      }
+      if (name == "test.after") {
+        ++after;
+        EXPECT_EQ(th.label, "main");
+        EXPECT_EQ(e.depth, 0u);
+      }
+    }
+  }
+  EXPECT_EQ(rank_tracks, (std::set<std::string>{"mp/0", "mp/1", "mp/2"}));
+  EXPECT_EQ(team_tracks.size(), 3u);  // the caller and two workers
+  for (const auto& label : team_tracks) {
+    EXPECT_TRUE(label == "main" || label.rfind("core.team/", 0) == 0)
+        << label;
+  }
+  EXPECT_TRUE(team_tracks.contains("main"));
+  EXPECT_EQ(regions, 2u);  // the world's region and the team's
+  EXPECT_EQ(after, 1u);
 }
 
 // One smoke workload crosses three layers; all three span families land
